@@ -9,6 +9,7 @@ Rotation kinds carry an angle in radians; no other kind does.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
@@ -114,9 +115,31 @@ def measure(*targets: int) -> Gate:
     return Gate("measure", tuple(targets))
 
 
+def _distinct(gates) -> Iterable[Gate]:
+    """Each Gate object of ``gates`` once, in first-seen order."""
+    return dict(zip(map(id, gates), gates)).values()
+
+
+def _per_gate(gates, fn) -> Iterator:
+    """``fn(g)`` for every gate in order, computed once per distinct object.
+
+    The cache is keyed by ``id``, which is sound because ``gates`` holds
+    every object alive while the ids are taken; it lives only as long as
+    the returned iterator.
+    """
+    ids = list(map(id, gates))
+    cache = {i: fn(g) for i, g in dict(zip(ids, gates)).items()}
+    return map(cache.__getitem__, ids)
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable gate list over num_qubits qubits."""
+    """An immutable gate list over num_qubits qubits.
+
+    ``gates`` may repeat one immutable Gate instance any number of times
+    (lowered circuits do, heavily); whole-circuit walks that do real work
+    per gate do it once per distinct object (see ``_per_gate``).
+    """
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -125,7 +148,7 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.num_qubits <= 0:
             raise ValueError("circuit needs at least one qubit")
-        for g in self.gates:
+        for g in _distinct(self.gates):
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"gate touches qubit {q} outside 0..{self.num_qubits - 1}")
@@ -166,14 +189,19 @@ def depth(circuit: Circuit) -> int:
     and so do measurements).
     """
     level = [0] * circuit.num_qubits
-    best = 0
-    for g in circuit.gates:
-        qs = g.qubits
-        d = 1 + max(level[q] for q in qs)
-        for q in qs:
-            level[q] = d
-        best = max(best, d)
-    return best
+    for qs in _per_gate(circuit.gates, Gate.qubits.fget):
+        # one- and two-qubit gates, nearly all of a lowered circuit, inline
+        if len(qs) == 1:
+            level[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            level[a] = level[b] = max(level[a], level[b]) + 1
+        else:
+            d = 1 + max(map(level.__getitem__, qs))
+            for q in qs:
+                level[q] = d
+    # a qubit's level only grows, so the deepest gate left its mark
+    return max(level)
 
 
 @dataclass(frozen=True)
@@ -210,17 +238,27 @@ def lower_negative_controls(circuit: Circuit) -> Circuit:
     Idempotent: a circuit with only positive controls comes back unchanged
     (same object).
     """
-    if all(pos for g in circuit.gates for _, pos in g.controls):
+    if all(pos for g in _distinct(circuit.gates) for _, pos in g.controls):
         return circuit
+    flips: dict[int, Gate] = {}
     gates: list[Gate] = []
-    for g in circuit.gates:
-        negatives = [q for q, pos in g.controls if not pos]
-        if not negatives:
-            gates.append(g)
-            continue
-        for q in negatives:
-            gates.append(x(q))
-        gates.append(replace(g, controls=tuple((q, True) for q, _ in g.controls)))
-        for q in reversed(negatives):
-            gates.append(x(q))
+    for expansion in _per_gate(circuit.gates, lambda g: _x_conjugated(g, flips)):
+        gates.extend(expansion)
     return replace(circuit, gates=tuple(gates))
+
+
+def _x_conjugated(gate: Gate, flips: dict[int, Gate]) -> tuple[Gate, ...]:
+    """``gate`` with its negative controls made positive between X gates.
+
+    ``flips`` caches the bare X gate per qubit, so every conjugation of
+    one qubit shares one Gate object.
+    """
+    negatives = [q for q, pos in gate.controls if not pos]
+    if not negatives:
+        return (gate,)
+    for q in negatives:
+        if q not in flips:
+            flips[q] = x(q)
+    xs = [flips[q] for q in negatives]
+    positive = replace(gate, controls=tuple((q, True) for q, _ in gate.controls))
+    return (*xs, positive, *reversed(xs))

@@ -256,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _cell_worker(queue, source: str, method: str, opt: list[str],
+def _cell_worker(conn, source: str, method: str, opt: list[str],
                  gateset: str, seed: int | None, qubits: int | None,
                  want_qasm: bool) -> None:
     try:
@@ -264,31 +264,39 @@ def _cell_worker(queue, source: str, method: str, opt: list[str],
         payload = {"report": report}
         if want_qasm:
             payload["qasm"] = emit_qasm(circ, gateset=gateset)
-        queue.put(("ok", payload))
+        conn.send(("ok", payload))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent verbatim
-        queue.put(("error", {"error": type(exc).__name__, "detail": str(exc)}))
+        conn.send(("error", {"error": type(exc).__name__, "detail": str(exc)}))
 
 
 def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
               seed: int | None, qubits: int | None, timeout: float,
               want_qasm: bool = False) -> tuple[str, dict]:
+    # The parent reads the result while the child writes it: a payload
+    # larger than the pipe buffer blocks the child until it is read, so
+    # waiting for the child to exit first would deadlock.
     ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
+    reader, writer = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_cell_worker,
-        args=(queue, str(source), method, opt, gateset, seed, qubits, want_qasm))
+        args=(writer, str(source), method, opt, gateset, seed, qubits, want_qasm))
     proc.start()
-    proc.join(timeout)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
-        return "timeout", {}
+    writer.close()  # so that the reader sees EOF once the child is gone
     try:
-        status, payload = queue.get(timeout=1.0)
-    except Exception:  # noqa: BLE001 - a wordless crash (e.g. OOM kill)
-        return "error", {"error": "WorkerCrashed",
-                         "detail": f"exit code {proc.exitcode}"}
-    return status, payload
+        if not reader.poll(timeout):
+            proc.terminate()
+            proc.join()
+            return "timeout", {}
+        try:
+            status, payload = reader.recv()
+        except EOFError:  # a wordless crash (e.g. OOM kill)
+            proc.join()
+            return "error", {"error": "WorkerCrashed",
+                             "detail": f"exit code {proc.exitcode}"}
+        proc.join()
+        return status, payload
+    finally:
+        reader.close()
 
 
 _CSV_FIELDS = ("function", "method", "status", "qubits", "gate_count",

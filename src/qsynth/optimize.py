@@ -8,15 +8,17 @@ shapes their upstream synthesizers produce.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .circuit import (
     ROTATION_KINDS,
     Circuit,
     Gate,
+    _per_gate,
+    _x_conjugated,
     cz,
     h,
-    lower_negative_controls,
     rx,
     ry,
     rz,
@@ -68,21 +70,22 @@ def remove_double_x(circuit: Circuit) -> Circuit:
 # Toffoli decompositions
 # ---------------------------------------------------------------------------
 
-def _ladder(gate: Gate, first_ancilla: int) -> list[Gate]:
-    """Replace a many-controlled X by a Toffoli chain onto fresh ancillas.
+def _ladder(gate: Gate, first_ancilla: int) -> tuple[list[tuple], Gate]:
+    """Toffoli chain that reduces a many-controlled gate to one control.
 
     With controls c1..ck the chain computes c1*c2 -> a1, c3*a1 -> a2, ...
-    onto k-1 ancillas, copies the last ancilla onto the target, then
-    uncomputes; original control polarities ride on the chain Toffolis.
+    onto k-1 fresh ancillas; each step is ``(control, control, ancilla)``
+    with the original control polarities riding on the chain.  The
+    middle gate applies ``gate`` controlled by the last ancilla; the
+    caller wraps it in the chain and then the chain reversed.
     """
-    controls = list(gate.controls)
-    k = len(controls)
+    controls = gate.controls
     a = first_ancilla
-    compute = [Gate("x", (a,), (controls[0], controls[1]))]
-    for i in range(2, k):
-        compute.append(Gate("x", (a + i - 1,), (controls[i], (a + i - 2, True))))
-    middle = Gate(gate.kind, gate.targets, ((a + k - 2, True),), gate.angle)
-    return compute + [middle] + list(reversed(compute))
+    chain = [(controls[0], controls[1], a)]
+    chain.extend((controls[i], (a + i - 2, True), a + i - 1)
+                 for i in range(2, len(controls)))
+    middle = Gate(gate.kind, gate.targets, ((chain[-1][2], True),), gate.angle)
+    return chain, middle
 
 
 def _five_gate(gate: Gate) -> list[Gate]:
@@ -115,7 +118,9 @@ def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
         out: list[Gate] = []
         for gate in circuit.gates:
             if gate.kind == "x" and gate.num_controls >= 3:
-                out.extend(_ladder(gate, base))
+                chain, middle = _ladder(gate, base)
+                compute = [Gate("x", (a,), (c1, c2)) for c1, c2, a in chain]
+                out.extend(compute + [middle] + compute[::-1])
             else:
                 out.append(gate)
         labels = circuit.labels
@@ -123,19 +128,12 @@ def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
             labels = labels + tuple(f"anc{i}" for i in range(extra))
         return Circuit(num_qubits=base + extra, gates=tuple(out), labels=labels)
     if mode == "toffoli_to_5gate":
+        flips: dict[int, Gate] = {}
         out = []
         for gate in circuit.gates:
             if gate.kind == "x" and gate.num_controls == 2:
-                negatives = [q for q, pol in gate.controls if not pol]
-                if negatives:
-                    flips = [x(q) for q in negatives]
-                    positive = Gate("x", gate.targets,
-                                    tuple((q, True) for q, _ in gate.controls))
-                    out.extend(flips)
-                    out.extend(_five_gate(positive))
-                    out.extend(reversed(flips))
-                else:
-                    out.extend(_five_gate(gate))
+                for g in _x_conjugated(gate, flips):
+                    out.extend(_five_gate(g) if g.num_controls == 2 else (g,))
             else:
                 out.append(gate)
         return Circuit(num_qubits=circuit.num_qubits, gates=tuple(out),
@@ -364,43 +362,45 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     become the standard CX/RZ/H block, remaining single-controlled gates
     are conjugated down to controlled-RZ form, and leftover exotic bare
     gates are translated to rotations.
+
+    Each distinct input gate object is expanded once, and every Toffoli
+    body once per (control, control, target); the output tuple repeats
+    those immutable Gate instances wherever the same expansion recurs.
     """
-    work = lower_negative_controls(circuit)
-    widths = [g.num_controls for g in work.gates if g.num_controls >= 2]
+    widths = [g.num_controls for g in circuit.gates if g.num_controls >= 2]
     extra = (max(widths) - 1) if widths else 0
-    base = work.num_qubits
+    base = circuit.num_qubits
+    toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
+    flips: dict[int, Gate] = {}
 
-    staged: list[Gate] = []
-    for gate in work.gates:
-        if gate.num_controls >= 2:
-            if gate.kind == "x" and gate.num_controls == 2:
-                staged.append(gate)
-            else:
-                staged.extend(_ladder(gate, base))
-        else:
-            staged.append(gate)
-
-    lowered: list[Gate] = []
-    for gate in staged:
-        if gate.kind == "x" and gate.num_controls == 2:
+    def lower_positive(gate: Gate) -> list[Gate]:
+        k = gate.num_controls
+        if gate.kind == "x" and k == 2:
             (a, _), (b, _) = gate.controls
-            lowered.extend(_toffoli_body(a, b, gate.targets[0]))
-        else:
-            lowered.append(gate)
+            return toffoli(a, b, gate.targets[0])
+        if k >= 2:
+            chain, middle = _ladder(gate, base)
+            bodies = [toffoli(c1, c2, t) for (c1, _), (c2, _), t in chain]
+            return [g for body in bodies for g in body] + lower_positive(middle) + [
+                g for body in reversed(bodies) for g in body]
+        if k == 1:
+            return [gate] if gate.kind == "x" else _single_control_abc(gate)
+        return _bare_translation(gate)
 
-    out: list[Gate] = []
-    for gate in lowered:
-        if gate.num_controls == 1 and gate.kind != "x":
-            out.extend(_single_control_abc(gate))
-        elif gate.num_controls == 0:
-            out.extend(_bare_translation(gate))
-        else:
-            out.append(gate)
+    def expand(gate: Gate) -> list[Gate]:
+        out: list[Gate] = []
+        for g in _x_conjugated(gate, flips):
+            out.extend(lower_positive(g))
+        return out
+
+    gates: list[Gate] = []
+    for expansion in _per_gate(circuit.gates, expand):
+        gates.extend(expansion)
 
     labels = circuit.labels
     if labels and extra:
         labels = labels + tuple(f"anc{i}" for i in range(extra))
-    return Circuit(num_qubits=base + extra, gates=tuple(out), labels=labels)
+    return Circuit(num_qubits=base + extra, gates=tuple(gates), labels=labels)
 
 
 PASSES = {

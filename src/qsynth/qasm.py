@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, lower_negative_controls
+from .circuit import Circuit, Gate, _per_gate, lower_negative_controls
 from .errors import UnsupportedGateForGateset, UnsupportedStatement
 
 UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h", "measure"})
@@ -198,19 +198,14 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     and raises UnsupportedGateForGateset on anything else; emission never
     rewrites gates to fit.  Negative controls are X-conjugated away in
     both modes.  Angles are printed with repr so parsing them back is
-    exact.
+    exact.  Each distinct Gate object is checked and formatted once.
     """
     circuit = lower_negative_controls(circuit)
     names: set[str] = set()
-    apps: list[str] = []
-    measure_count = 0
 
-    for gate in circuit.gates:
+    def application(gate: Gate) -> str | None:
         if gate.kind == "measure":
-            for q in gate.targets:
-                apps.append(f"measure q[{q}] -> c[{measure_count}];")
-                measure_count += 1
-            continue
+            return None  # numbered by position, below
         if gateset == "uniform":
             ok = (
                 gate.kind in UNIFORM_GATESET
@@ -225,13 +220,21 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
             raise ValueError(f"unknown gateset {gateset!r}")
         name = _gate_name(gate)
         names.add(name)
-        operands = ",".join(
-            f"q[{q}]" for q in [q for q, _ in gate.controls] + list(gate.targets)
-        )
+        operands = ",".join(f"q[{q}]" for q in gate.qubits)
         if gate.angle is not None:
-            apps.append(f"{name}({gate.angle!r}) {operands};")
-        else:
-            apps.append(f"{name} {operands};")
+            return f"{name}({gate.angle!r}) {operands};"
+        return f"{name} {operands};"
+
+    apps = list(_per_gate(circuit.gates, application))
+    measure_count = 0
+    if None in apps:
+        for i, gate in enumerate(circuit.gates):
+            if apps[i] is None:
+                first = measure_count
+                measure_count += len(gate.targets)
+                apps[i] = "\n".join(
+                    f"measure q[{q}] -> c[{c}];"
+                    for c, q in enumerate(gate.targets, first))
 
     lines = ["OPENQASM 2.0;"]
     if circuit.labels:
@@ -256,6 +259,8 @@ _MEASURE_RE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]$")
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]$")
 _CREG_RE = re.compile(r"^creg\s+c\[(\d+)\]$")
 _MC_RE = re.compile(r"^mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)$")
+_OPERAND_RE = re.compile(r"q\[(\d+)\]")
+_DEF_RE = re.compile(r"gate\s+[A-Za-z_][A-Za-z0-9_]*[^{]*\{[^}]*\}")
 
 # name -> (IR kind, control count); cz round-trips through the cz IR kind
 _NAME_TABLE: dict[str, tuple[str, int]] = {
@@ -282,12 +287,40 @@ def _resolve_name(name: str) -> tuple[str, int]:
     raise UnsupportedStatement(f"unknown gate {name!r}")
 
 
+def _parse_application(stmt: str) -> Gate:
+    """The gate of one measurement or gate application statement."""
+    m = _MEASURE_RE.fullmatch(stmt)
+    if m:
+        return Gate("measure", (int(m.group(1)),))
+    m = _APP_RE.fullmatch(stmt)
+    if not m:
+        raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
+    kind, num_controls = _resolve_name(m.group("name"))
+    qubits = [int(tok) for tok in _OPERAND_RE.findall(m.group("args"))]
+    if len(qubits) != num_controls + 1:
+        raise UnsupportedStatement(
+            f"{m.group('name')} expects {num_controls + 1} operands, "
+            f"got {len(qubits)}"
+        )
+    param = m.group("param")
+    angle = None
+    if param is not None:
+        if kind not in ("rx", "ry", "rz"):
+            raise UnsupportedStatement(f"unexpected parameter on {m.group('name')}")
+        angle = float(param)
+    elif kind in ("rx", "ry", "rz"):
+        raise UnsupportedStatement(f"{m.group('name')} needs a parameter")
+    controls = tuple((q, True) for q in qubits[:-1])
+    return Gate(kind, (qubits[-1],), controls, angle)
+
+
 def parse_qasm(text: str) -> Circuit:
     """Parse emitter-shaped OpenQASM 2.0 back into a circuit.
 
     Gate definitions are skipped (names are resolved from a fixed table),
     so parsing never expands macro bodies.  Statements outside the
-    emitter's repertoire raise UnsupportedStatement.
+    emitter's repertoire raise UnsupportedStatement.  Repeated statements
+    share one Gate instance.
     """
     labels: tuple[str, ...] = ()
     stripped: list[str] = []
@@ -303,14 +336,7 @@ def parse_qasm(text: str) -> Circuit:
     body = " ".join(stripped)
 
     # remove gate definition blocks before splitting on semicolons
-    defined: set[str] = set()
-    def_re = re.compile(r"gate\s+([A-Za-z_][A-Za-z0-9_]*)[^{]*\{[^}]*\}")
-    while True:
-        m = def_re.search(body)
-        if not m:
-            break
-        defined.add(m.group(1))
-        body = body[: m.start()] + body[m.end():]
+    body = _DEF_RE.sub("", body)
 
     statements = [s.strip() for s in body.split(";") if s.strip()]
     if not statements or statements[0] != "OPENQASM 2.0":
@@ -318,39 +344,20 @@ def parse_qasm(text: str) -> Circuit:
 
     num_qubits: int | None = None
     gates: list[Gate] = []
+    gate_of: dict[str, Gate] = {}  # a repeated statement yields one shared Gate
     for stmt in statements[1:]:
-        m = _QREG_RE.fullmatch(stmt)
-        if m:
-            if num_qubits is not None:
-                raise UnsupportedStatement("multiple qreg declarations")
-            num_qubits = int(m.group(1))
-            continue
-        if _CREG_RE.fullmatch(stmt):
-            continue
-        m = _MEASURE_RE.fullmatch(stmt)
-        if m:
-            gates.append(Gate("measure", (int(m.group(1)),)))
-            continue
-        m = _APP_RE.fullmatch(stmt)
-        if not m:
-            raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
-        kind, num_controls = _resolve_name(m.group("name"))
-        qubits = [int(tok) for tok in re.findall(r"q\[(\d+)\]", m.group("args"))]
-        if len(qubits) != num_controls + 1:
-            raise UnsupportedStatement(
-                f"{m.group('name')} expects {num_controls + 1} operands, "
-                f"got {len(qubits)}"
-            )
-        param = m.group("param")
-        angle = None
-        if param is not None:
-            if kind not in ("rx", "ry", "rz"):
-                raise UnsupportedStatement(f"unexpected parameter on {m.group('name')}")
-            angle = float(param)
-        elif kind in ("rx", "ry", "rz"):
-            raise UnsupportedStatement(f"{m.group('name')} needs a parameter")
-        controls = tuple((q, True) for q in qubits[:-1])
-        gates.append(Gate(kind, (qubits[-1],), controls, angle))
+        gate = gate_of.get(stmt)
+        if gate is None:
+            m = _QREG_RE.fullmatch(stmt)
+            if m:
+                if num_qubits is not None:
+                    raise UnsupportedStatement("multiple qreg declarations")
+                num_qubits = int(m.group(1))
+                continue
+            if _CREG_RE.fullmatch(stmt):
+                continue
+            gate = gate_of[stmt] = _parse_application(stmt)
+        gates.append(gate)
 
     if num_qubits is None:
         raise UnsupportedStatement("missing qreg declaration")

@@ -29,7 +29,6 @@ CALIBRATION_CAP = 1 << 26
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _MATRICES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "cz": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -79,46 +78,83 @@ class Statevector:
 
 
 def run_reversible(circuit: Circuit, word: int) -> int:
-    """Propagate a basis state through an X-family circuit.
-
-    Only (multi-)controlled X gates are allowed; anything else raises
-    NonClassicalGate.  The input and result use the table word convention
-    (qubit 0 is the most significant bit).
-    """
-    n = circuit.num_qubits
-    if not 0 <= word < (1 << n):
-        raise ValueError(f"input {word} does not fit in {n} bits")
-    state = word
-    for g in circuit.gates:
-        if g.kind != "x":
-            raise NonClassicalGate(f"{g.kind} gate has no classical action")
-        fire = True
-        for q, positive in g.controls:
-            bit = (state >> (n - 1 - q)) & 1
-            if bit != int(positive):
-                fire = False
-                break
-        if fire:
-            state ^= 1 << (n - 1 - g.targets[0])
-    return state
+    """Propagate one basis state; see run_reversible_table."""
+    return run_reversible_table(circuit, [word])[0]
 
 
 def run_reversible_table(circuit: Circuit, words=None) -> list[int]:
-    """Vectorized run_reversible over many words (default: the full domain)."""
+    """Propagate basis states through an X-family circuit.
+
+    ``words`` defaults to the full domain.  Only (multi-)controlled X
+    gates are allowed; anything else raises NonClassicalGate.  Inputs and
+    results use the table word convention (qubit 0 is the most
+    significant bit).
+
+    The replay is bit-sliced: qubit q is one Python int whose bit i holds
+    q's value in word i, so a gate costs a few big-int AND/XOR operations
+    whatever the circuit width or the number of words.
+    """
     n = circuit.num_qubits
     if words is None:
-        state = np.arange(1 << n, dtype=np.int64)
+        words = np.arange(1 << n, dtype=np.uint64)
     else:
-        state = np.asarray(list(words), dtype=np.int64)
+        words = list(words)
+        if words and (min(words) < 0 or max(words) >> n):
+            raise ValueError(f"an input word does not fit in {n} bits")
+    rows = len(words)
+    columns = _bit_columns(words, n)
+    fire_all = (1 << rows) - 1
     for g in circuit.gates:
         if g.kind != "x":
             raise NonClassicalGate(f"{g.kind} gate has no classical action")
-        fire = np.ones(len(state), dtype=bool)
+        fire = fire_all
         for q, positive in g.controls:
-            bit = (state >> (n - 1 - q)) & 1
-            fire &= bit == int(positive)
-        state[fire] ^= 1 << (n - 1 - g.targets[0])
-    return state.tolist()
+            fire &= columns[q] if positive else ~columns[q]
+        columns[g.targets[0]] ^= fire
+    return _words_of(columns, rows)
+
+
+def _word_width(n: int) -> int:
+    """Bytes per word in the big-endian byte matrix: 8, or more past 64 bits."""
+    return max(8, (n + 7) // 8)
+
+
+def _bit_place(n: int, q: int) -> tuple[int, int]:
+    """(byte column, shift) of qubit q's bit in the byte matrix of n-bit words."""
+    p = 8 * _word_width(n) - n + q
+    return p >> 3, 7 - (p & 7)
+
+
+def _bit_columns(words, n: int) -> list[int]:
+    """One int per qubit, bit i of it set iff word i has that qubit set."""
+    width = _word_width(n)
+    if width == 8:
+        matrix = np.asarray(words, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    else:
+        matrix = np.frombuffer(b"".join(w.to_bytes(width, "big") for w in words),
+                               dtype=np.uint8).reshape(-1, width)
+    columns = []
+    for q in range(n):
+        byte, shift = _bit_place(n, q)
+        bits = (matrix[:, byte] >> shift) & 1
+        columns.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                                      "little"))
+    return columns
+
+
+def _words_of(columns: list[int], rows: int) -> list[int]:
+    """Inverse of _bit_columns."""
+    n = len(columns)
+    width = _word_width(n)
+    matrix = np.zeros((rows, width), dtype=np.uint8)
+    for q, column in enumerate(columns):
+        raw = np.frombuffer(column.to_bytes((rows + 7) // 8, "little"), dtype=np.uint8)
+        byte, shift = _bit_place(n, q)
+        matrix[:, byte] |= np.unpackbits(raw, count=rows, bitorder="little") << shift
+    if width == 8:
+        return matrix.view(">u8").ravel().tolist()
+    data = matrix.tobytes()
+    return [int.from_bytes(data[i:i + width], "big") for i in range(0, len(data), width)]
 
 
 def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
@@ -139,11 +175,22 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
     for g in circuit.gates:
         if g.kind == "measure":
             continue
-        mat = _gate_matrix(g)
         index: list = [slice(None)] * n
         for q, positive in g.controls:
             index[q] = 1 if positive else 0
         target = g.targets[0]
+        if g.kind == "x":
+            # a permutation: swap the target's |0> and |1> halves (slices,
+            # not indices, so that both stay views when every axis is fixed)
+            index[target] = slice(0, 1)
+            zero = state[tuple(index)]
+            index[target] = slice(1, 2)
+            one = state[tuple(index)]
+            swapped = zero.copy()
+            zero[...] = one
+            one[...] = swapped
+            continue
+        mat = _gate_matrix(g)
         axis = target - sum(1 for q, _ in g.controls if q < target)
         view = state[tuple(index)]
         moved = np.moveaxis(view, axis, 0)

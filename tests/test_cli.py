@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,29 @@ class TestSynth:
         run_synth(pla_file, plain, "--method", "esop")
         assert out.read_bytes() == plain.read_bytes()
 
+    def test_timeout_with_large_output(self, tmp_path):
+        # about 100 KB of QASM, more than the pipe buffer the forked
+        # child writes it through
+        source = bench_path("Z5xp1.pla")
+        out = tmp_path / "t.qasm"
+        assert run_synth(source, out, "--method", "esop", "--timeout", "30") == 0
+        plain = tmp_path / "p.qasm"
+        assert run_synth(source, plain, "--method", "esop") == 0
+        assert len(plain.read_bytes()) > 64 * 1024
+        assert out.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("name,method,sha256", [
+        ("clip", "esop",
+         "e30a2d30da6c7f18be22e8fe9527bb0db08a0177996f39548166adb4bc0eaac7"),
+        ("Z9sym", "angle",
+         "5a36e1347071bc9c0f5445a98e23b08300783e64fd219148ec6a216758fd41af"),
+    ])
+    def test_uniform_output_pinned(self, tmp_path, name, method, sha256):
+        out = tmp_path / "u.qasm"
+        assert run_synth(bench_path(f"{name}.pla"), out, "--method", method,
+                         "--gateset", "uniform") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
 
 class TestVerify:
     def synth_and_verify(self, source, method, tmp_path, *extra):
@@ -191,6 +215,14 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["verified"] is False
         assert report["mismatches"] > 0
+
+    def test_wide_esop(self, tmp_path, capsys):
+        # ex5: 71 qubits, so the words do not fit a machine integer
+        source = bench_path("ex5.pla")
+        assert self.synth_and_verify(source, "esop", tmp_path) == 0
+        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert report["mismatches"] == 0
+        assert report["rows_checked"] > 0
 
     def test_amplitude_report(self, pmf_file, tmp_path, capsys):
         out = tmp_path / "amp.qasm"

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.circuit import Circuit, Gate, h, metrics, ry, rz, x
 from qsynth.encoding import angle_tree, synth_amplitude
 from qsynth.errors import NoSymmetry, PatternIncomplete
 from qsynth.funcprep import Pmf
+from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.optimize import (
     PASSES,
     apply_passes,
@@ -264,6 +267,11 @@ class TestLowerToUniform:
     def test_many_controls(self):
         self.check(circuit(4, x(3, (0, 1, 2))))
 
+    def test_toffolis_sharing_controls(self):
+        # one control pair, three targets (the last an ancilla of the chain)
+        self.check(circuit(5, x(2, (0, 1)), x(3, (0, 1)), x(4, (0, 1, 2)),
+                           x(2, (0, 1))))
+
     def test_negative_controls(self):
         self.check(circuit(3, Gate("x", (2,), ((0, False), (1, False)))))
 
@@ -285,6 +293,48 @@ class TestLowerToUniform:
     def test_random_circuits(self, rng):
         for _ in range(10):
             self.check(random_circuit(rng, 3, 8))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeated_gates_property(self, data):
+        circ = data.draw(circuits_with_repeats())
+        self.check(circ)
+        for gateset, c in (("natural", circ), ("uniform", lower_to_uniform(circ))):
+            text = emit_qasm(c, gateset=gateset)
+            assert emit_qasm(parse_qasm(text), gateset=gateset) == text
+
+
+QUBITS = 5
+KINDS = ("x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure")
+
+
+@st.composite
+def gates(draw):
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "measure":
+        targets = draw(st.lists(st.integers(0, QUBITS - 1), min_size=1,
+                                max_size=2, unique=True))
+        return Gate("measure", tuple(targets))
+    target = draw(st.integers(0, QUBITS - 1))
+    others = [q for q in range(QUBITS) if q != target]
+    # cz names a controlled Z, so it needs a control
+    qubits = draw(st.lists(st.sampled_from(others), unique=True,
+                           min_size=1 if kind == "cz" else 0, max_size=4))
+    # sorted, as the synthesizers emit them, so that Toffoli chains of
+    # different gates share control pairs
+    controls = tuple((q, draw(st.booleans())) for q in sorted(qubits))
+    angle = None
+    if kind in ("rx", "ry", "rz"):
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
+    return Gate(kind, (target,), controls, angle)
+
+
+@st.composite
+def circuits_with_repeats(draw):
+    """Circuits whose gate tuples repeat some Gate objects."""
+    pool = draw(st.lists(gates(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return Circuit(num_qubits=QUBITS, gates=tuple(pool[i] for i in picks))
 
 
 class TestApplyPasses:

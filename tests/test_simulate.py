@@ -27,6 +27,15 @@ def circuit(num_qubits, *gates):
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
 
 
+def replay_word(circ, word):
+    """Reference replay: one word, one gate and one control at a time."""
+    n = circ.num_qubits
+    for g in circ.gates:
+        if all((word >> (n - 1 - q) & 1) == positive for q, positive in g.controls):
+            word ^= 1 << (n - 1 - g.targets[0])
+    return word
+
+
 class TestRunReversible:
     def test_qubit_zero_is_high_bit(self):
         assert run_reversible(circuit(2, x(0)), 0) == 0b10
@@ -62,6 +71,28 @@ class TestRunReversible:
     def test_table_subset(self):
         circ = circuit(2, x(1, (0,)))
         assert run_reversible_table(circ, [0b10, 0b00]) == [0b11, 0b00]
+
+    @pytest.mark.parametrize("num_qubits", [4, 9, 70])
+    def test_table_matches_word_loop(self, rng, num_qubits):
+        circ = random_circuit(rng, num_qubits, 40, kinds=("x",), max_controls=4)
+        words = [rng.randrange(1 << num_qubits) for _ in range(50)]
+        assert run_reversible_table(circ, words) == [
+            replay_word(circ, w) for w in words]
+
+    def test_wider_than_a_machine_word(self):
+        # 70 qubits; qubit q is bit 69 - q of a word
+        circ = circuit(70,
+                       Gate("x", (69,), ((0, True), (65, False))),
+                       x(1, (69,)),
+                       x(64))
+        words = [1 << 69, (1 << 69) | (1 << 4), 0]
+        want = [(1 << 69) | (1 << 68) | (1 << 5) | 1,
+                (1 << 69) | (1 << 5) | (1 << 4),
+                1 << 5]
+        assert run_reversible_table(circ, words) == want
+        assert [run_reversible(circ, w) for w in words] == want
+        with pytest.raises(ValueError):
+            run_reversible_table(circ, [1 << 70])
 
 
 class TestRunStatevector:

@@ -15,6 +15,7 @@ from .circuit import (
     ROTATION_KINDS,
     Circuit,
     Gate,
+    _distinct,
     _per_gate,
     _x_conjugated,
     cz,
@@ -156,43 +157,63 @@ def _entangler(kind: str, control: int, target: int) -> Gate:
     return x(target, (control,))
 
 
-def _rewrite_run(run: list[Gate], strict: bool) -> list[Gate]:
+def _walsh_angles(thetas: list[float]) -> list[float]:
+    """Gray-ordered angles fsum(+-thetas) / size, by an exact butterfly.
+
+    Angle i is the sum over patterns b of (-1)^popcount(b & gray(i)) *
+    thetas[b], over size.  Every float is n / d with d a power of two,
+    so over the largest d the signed sums are exact integers, found by
+    an in-place Walsh-Hadamard butterfly in O(k * 2^k).  Int true
+    division rounds correctly, so w / den is the float math.fsum gives;
+    the division by size then repeats the reference formula's last step.
+    """
+    ratios = [t.as_integer_ratio() for t in thetas]
+    den = max(d for _, d in ratios)
+    w = [n * (den // d) for n, d in ratios]
+    size = len(w)
+    half = 1
+    while half < size:
+        for lo in range(0, size, 2 * half):
+            mid, hi = lo + half, lo + 2 * half
+            a, b = w[lo:mid], w[mid:hi]
+            w[lo:hi] = [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
+        half *= 2
+    return [(w[_gray(i)] / den) / size for i in range(size)]
+
+
+def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gate]:
+    """Replace one run over the sorted ``controls`` by its Gray-code form."""
     kind = run[0].kind
     target = run[0].targets[0]
-    controls = sorted(q for q, _ in run[0].controls)
     k = len(controls)
+    size = 1 << k
     # pattern bit j corresponds to controls[j]
-    thetas = [0.0] * (1 << k)
+    bit = {q: 1 << j for j, q in enumerate(controls)}
+    thetas = [0.0] * size
     seen = set()
     for gate in run:
         pattern = 0
-        for j, q in enumerate(controls):
-            if dict(gate.controls)[q]:
-                pattern |= 1 << j
+        for q, positive in gate.controls:
+            if positive:
+                pattern |= bit[q]
         seen.add(pattern)
         thetas[pattern] += gate.angle
-    if strict and len(seen) != 1 << k:
+    if strict and len(seen) != size:
         raise PatternIncomplete(
-            f"run covers {len(seen)} of {1 << k} control patterns"
+            f"run covers {len(seen)} of {size} control patterns"
         )
-    size = 1 << k
-    alphas = []
-    for i in range(size):
-        g = _gray(i)
-        s = math.fsum(
-            (-1 if (b & g).bit_count() & 1 else 1) * thetas[b] for b in range(size)
-        )
-        alphas.append(s / size)
+    alphas = _walsh_angles(thetas)
+    entanglers = [_entangler(kind, q, target) for q in controls]
     out: list[Gate] = []
     for i in range(size):
         if alphas[i] != 0.0:
             out.append(Gate(kind, (target,), (), alphas[i]))
         diff = _gray(i) ^ _gray((i + 1) % size)
-        out.append(_entangler(kind, controls[diff.bit_length() - 1], target))
-    # adjacent identical entanglers cancel once zero rotations are gone
+        out.append(entanglers[diff.bit_length() - 1])
+    # adjacent copies of one entangler cancel once zero rotations are gone
     cancelled: list[Gate] = []
     for gate in out:
-        if cancelled and cancelled[-1] == gate and gate.kind in ("cz", "x"):
+        if cancelled and cancelled[-1] is gate:
             cancelled.pop()
         else:
             cancelled.append(gate)
@@ -210,28 +231,35 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     pattern are padded with zero angles (``strict=True`` raises
     PatternIncomplete instead); zero-angle outputs are pruned.  Gates
     that are not controlled rotations pass through untouched.
+
+    A run over k controls costs O(k * 2^k) exact integer operations (a
+    Walsh-Hadamard butterfly), and its angles are bit for bit the
+    correctly rounded sums of the O(4^k) sign-system solution.
     """
     out: list[Gate] = []
     run: list[Gate] = []
+    run_controls: list[int] = []
 
     def flush() -> None:
         if not run:
             return
-        if run[0].controls:
-            out.extend(_rewrite_run(run, strict))
+        if run_controls:
+            out.extend(_rewrite_run(run, run_controls, strict))
         else:
             out.extend(run)
         run.clear()
 
     for gate in circuit.gates:
         if gate.kind in ROTATION_KINDS:
+            controls = sorted(q for q, _ in gate.controls)
             if run and (
                 gate.kind != run[0].kind
                 or gate.targets != run[0].targets
-                or sorted(q for q, _ in gate.controls)
-                != sorted(q for q, _ in run[0].controls)
+                or controls != run_controls
             ):
                 flush()
+            if not run:
+                run_controls = controls
             run.append(gate)
         else:
             flush()
@@ -367,8 +395,11 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     body once per (control, control, target); the output tuple repeats
     those immutable Gate instances wherever the same expansion recurs.
     """
-    widths = [g.num_controls for g in circuit.gates if g.num_controls >= 2]
-    extra = (max(widths) - 1) if widths else 0
+    # a two-control X is lowered in place; any other k-control gate with
+    # k >= 2 runs through a chain of k - 1 ancillas
+    extra = max((g.num_controls - 1 for g in _distinct(circuit.gates)
+                 if g.num_controls >= 2
+                 and not (g.kind == "x" and g.num_controls == 2)), default=0)
     base = circuit.num_qubits
     toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
     flips: dict[int, Gate] = {}

@@ -172,13 +172,21 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
     state[initial] = 1.0
     state = state.reshape((2,) * n)
 
+    # X frame: the true state is `state` with every flipped axis reversed.
+    # A bare X only toggles its qubit's bit; controls on a flipped qubit
+    # fire on the other half, and a gate M on a flipped target acts as
+    # X M X, which is M with both axes reversed.
+    flipped = [False] * n
     for g in circuit.gates:
         if g.kind == "measure":
             continue
+        target = g.targets[0]
+        if g.kind == "x" and not g.controls:
+            flipped[target] = not flipped[target]
+            continue
         index: list = [slice(None)] * n
         for q, positive in g.controls:
-            index[q] = 1 if positive else 0
-        target = g.targets[0]
+            index[q] = int(positive) ^ flipped[q]
         if g.kind == "x":
             # a permutation: swap the target's |0> and |1> halves (slices,
             # not indices, so that both stay views when every axis is fixed)
@@ -191,12 +199,17 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
             one[...] = swapped
             continue
         mat = _gate_matrix(g)
+        if flipped[target]:
+            mat = mat[::-1, ::-1]
         axis = target - sum(1 for q, _ in g.controls if q < target)
         view = state[tuple(index)]
         moved = np.moveaxis(view, axis, 0)
         updated = (mat @ moved.reshape(2, -1)).reshape(moved.shape)
         moved[...] = updated
 
+    axes = tuple(q for q in range(n) if flipped[q])
+    if axes:
+        state = np.flip(state, axis=axes)
     return Statevector(amplitudes=state.reshape(-1), num_qubits=n)
 
 
@@ -319,8 +332,7 @@ def calibrate_shots_report(
     upper-tail chi-square probability (one degree of freedom) of the
     per-shot G measured at the recommended count.
     """
-    from .stats import kl_divergence
-    from scipy.stats import chi2
+    from .stats import _chi2_sf, kl_divergence
 
     source = circuit if circuit is not None else pmf
     target = np.asarray(pmf.probs)
@@ -340,7 +352,7 @@ def calibrate_shots_report(
     recommended = math.ceil(margin * shots)
     final = sample(source, recommended, seed=seed + 1000)
     g_final = 2.0 * kl_divergence(final.empirical(), target)
-    p_final = float(chi2.sf(g_final, df=1))
+    p_final = _chi2_sf(g_final, 1)
     return CalibrationResult(
         shots=recommended, calibrated_at=shots, g=g_final, p=p_final, threshold=threshold,
     )

@@ -12,9 +12,54 @@ import math
 import warnings
 
 import numpy as np
-from scipy.stats import chi2
 
 from .simulate import CountHistogram
+
+_EPS = 1e-15
+_TINY = 1e-300
+_MAX_TERMS = 100_000
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper-tail chi-square probability P(X > x) for df degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(df/2, x/2): below
+    a + 1 it is one minus the power series of P, above it the Lentz
+    continued fraction of Q (Numerical Recipes, section 6.2).  x <= 0
+    (a perfect match can give G = -1e-16) has probability 1.
+    """
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    a = 0.5 * df
+    z = 0.5 * x
+    scale = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _MAX_TERMS):
+            term *= z / (a + n)
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return max(0.0, 1.0 - total * scale)
+    else:
+        b = z + 1.0 - a
+        c = 1.0 / _TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, _MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = d if abs(d) >= _TINY else _TINY
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
+            if abs(step - 1.0) < _EPS:
+                return h * scale
+    raise ArithmeticError(f"chi-square tail did not converge (x={x}, df={df})")
 
 
 def _as_dist(p) -> np.ndarray:
@@ -83,5 +128,5 @@ def g_statistic(observed: CountHistogram, expected) -> tuple[float, float]:
             warnings.warn("observed counts in a zero-probability bin: G is infinite")
             return math.inf, 0.0
         g += 2.0 * count * math.log(count / e)
-    p = float(chi2.sf(g, df=bins - 1))
+    p = _chi2_sf(g, bins - 1)
     return g, p

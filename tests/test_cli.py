@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsynth
 from qsynth.cli import main
 from qsynth.qasm import parse_qasm
 
@@ -179,6 +184,26 @@ class TestSynth:
         assert run_synth(bench_path(f"{name}.pla"), out, "--method", method,
                          "--gateset", "uniform") == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("gateset", ["natural", "uniform"])
+    def test_graycode_output_pinned(self, tmp_path, gateset):
+        # the Gray-code angles of the O(4^k) fsum solve, to the last bit
+        out = tmp_path / "g.qasm"
+        assert run_synth(bench_path("arbitrary.pmf"), out, "--method", "amplitude",
+                         "--opt", "graycode", "--gateset", gateset) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fffb7d52a3aec4e043606b0fc024dae7fa3846e8e7cc1427b93c8001bafb66bd")
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(qsynth.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, qsynth.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynth.circuit import Circuit, Gate, h, metrics, ry, rz, x
+from qsynth.circuit import ROTATION_KINDS, Circuit, Gate, cz, h, metrics, ry, rz, x
 from qsynth.encoding import angle_tree, synth_amplitude
 from qsynth.errors import NoSymmetry, PatternIncomplete
 from qsynth.funcprep import Pmf
@@ -199,6 +199,106 @@ class TestGraycode:
                                    [v / total for v in raw], atol=1e-9)
 
 
+def reference_graycode(circ):
+    """The O(4^k) math.fsum sign-system solve, kept as the exact reference."""
+
+    def gray(i):
+        return i ^ (i >> 1)
+
+    def rewrite(run):
+        kind = run[0].kind
+        target = run[0].targets[0]
+        controls = sorted(q for q, _ in run[0].controls)
+        size = 1 << len(controls)
+        thetas = [0.0] * size
+        for gate in run:
+            pattern = 0
+            for j, q in enumerate(controls):
+                if dict(gate.controls)[q]:
+                    pattern |= 1 << j
+            thetas[pattern] += gate.angle
+        out = []
+        for i in range(size):
+            g = gray(i)
+            alpha = math.fsum(
+                (-1 if (b & g).bit_count() & 1 else 1) * thetas[b]
+                for b in range(size)) / size
+            if alpha != 0.0:
+                out.append(Gate(kind, (target,), (), alpha))
+            q = controls[(g ^ gray((i + 1) % size)).bit_length() - 1]
+            out.append(cz(q, target) if kind == "rx" else x(target, (q,)))
+        cancelled = []
+        for gate in out:
+            if cancelled and cancelled[-1] == gate and gate.kind in ("cz", "x"):
+                cancelled.pop()
+            else:
+                cancelled.append(gate)
+        return cancelled
+
+    out, run = [], []
+    for gate in circ.gates + (h(0),):
+        if run and not (
+            gate.kind == run[0].kind and gate.targets == run[0].targets
+            and sorted(q for q, _ in gate.controls)
+            == sorted(q for q, _ in run[0].controls)
+        ):
+            out.extend(rewrite(run) if run[0].controls else run)
+            run = []
+        if gate.kind in ROTATION_KINDS:
+            run.append(gate)
+        else:
+            out.append(gate)
+    return tuple(out[:-1])
+
+
+# signed, zero, subnormal, tiny normal (whose 2^-k share is subnormal) and
+# ~1e3 angles
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e3, -1e3]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-64, 64).map(lambda m: m * 5e-324),
+    st.floats(-1.0, 1.0).map(lambda v: v * 2.0 ** -1017),
+)
+RUN_QUBITS = 7
+
+
+@st.composite
+def rotation_runs(draw):
+    """Uniformly controlled rotation runs over 0-6 controls, one after another.
+
+    Patterns may repeat or be missing, so runs are often incomplete.
+    """
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(ROTATION_KINDS)))
+        target = draw(st.integers(0, RUN_QUBITS - 1))
+        others = [q for q in range(RUN_QUBITS) if q != target]
+        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=6))
+        k = len(controls)
+        patterns = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                                 max_size=min(80, 2 << k)))
+        for pattern in patterns:
+            ctl = tuple((q, bool(pattern >> j & 1)) for j, q in enumerate(controls))
+            gates.append(Gate(kind, (target,), ctl, draw(ANGLES)))
+    return Circuit(num_qubits=RUN_QUBITS, gates=tuple(gates))
+
+
+class TestGraycodeReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(circ=rotation_runs())
+    def test_matches_fsum_reference_exactly(self, circ):
+        got = graycode_optimize(circ).gates
+        want = reference_graycode(circ)
+        assert got == want
+        assert [g.angle for g in got] == [g.angle for g in want]
+
+    def test_complete_patterns_of_every_width(self, rng):
+        for k in range(7):
+            angles = [rng.uniform(-4, 4) for _ in range(1 << k)]
+            circ = circuit(k + 1, *uc_run("ry", k, tuple(range(k)), angles))
+            assert graycode_optimize(circ, strict=True).gates == reference_graycode(circ)
+
+
 class TestSymmetric:
     def test_duplicate_halves(self):
         probs = (0.1, 0.15, 0.2, 0.05) * 2
@@ -263,6 +363,11 @@ class TestLowerToUniform:
 
     def test_toffoli(self):
         self.check(circuit(3, x(2, (0, 1))))
+
+    def test_toffoli_needs_no_ancilla(self):
+        assert lower_to_uniform(circuit(3, x(2, (0, 1)))).num_qubits == 3
+        # a two-control rotation still goes through one chain ancilla
+        assert lower_to_uniform(circuit(3, ry(0.9, 2, (0, 1)))).num_qubits == 4
 
     def test_many_controls(self):
         self.check(circuit(4, x(3, (0, 1, 2))))

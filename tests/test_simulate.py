@@ -22,6 +22,8 @@ from qsynth.simulate import (
 
 from conftest import random_circuit, unitary
 
+SV_KINDS = ("x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure")
+
 
 def circuit(num_qubits, *gates):
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
@@ -135,6 +137,76 @@ class TestRunStatevector:
     def test_initial_out_of_range(self):
         with pytest.raises(ValueError):
             run_statevector(circuit(1), initial=2)
+
+
+def statevector_per_gate(circ, initial=0):
+    """Reference statevector: every gate, bare X included, applied in place."""
+    from qsynth.simulate import _gate_matrix
+
+    n = circ.num_qubits
+    state = np.zeros(1 << n, dtype=complex)
+    state[initial] = 1.0
+    state = state.reshape((2,) * n)
+    for g in circ.gates:
+        if g.kind == "measure":
+            continue
+        index = [slice(None)] * n
+        for q, positive in g.controls:
+            index[q] = 1 if positive else 0
+        target = g.targets[0]
+        if g.kind == "x":
+            index[target] = slice(0, 1)
+            zero = state[tuple(index)]
+            index[target] = slice(1, 2)
+            one = state[tuple(index)]
+            swapped = zero.copy()
+            zero[...] = one
+            one[...] = swapped
+            continue
+        mat = _gate_matrix(g)
+        axis = target - sum(1 for q, _ in g.controls if q < target)
+        moved = np.moveaxis(state[tuple(index)], axis, 0)
+        moved[...] = (mat @ moved.reshape(2, -1)).reshape(moved.shape)
+    return state.reshape(-1)
+
+
+def flipped_circuit(rng, n, num_gates):
+    """Random gates of every kind, most of them between bare X gates.
+
+    The X gates leave qubits flipped for stretches, so controls of either
+    polarity and targets land on flipped and unflipped qubits alike.
+    """
+    gates = []
+    for _ in range(num_gates):
+        gates.extend(x(q) for q in range(n) if rng.random() < 0.4)
+        kind = rng.choice(SV_KINDS)
+        if kind == "measure":
+            gates.append(Gate("measure", tuple(rng.sample(range(n), 2))))
+            continue
+        target = rng.randrange(n)
+        pool = [q for q in range(n) if q != target]
+        k = rng.randint(1 if kind == "cz" else 0, min(3, len(pool)))
+        controls = tuple((q, rng.random() < 0.5) for q in sorted(rng.sample(pool, k)))
+        angle = rng.uniform(-6.0, 6.0) if kind in ("rx", "ry", "rz") else None
+        gates.append(Gate(kind, (target,), controls, angle))
+    return Circuit(num_qubits=n, gates=tuple(gates))
+
+
+class TestXFrame:
+    def test_matches_per_gate_reference(self, rng):
+        for trial in range(40):
+            n = rng.randint(1, 5) if trial % 4 else 5
+            circ = flipped_circuit(rng, n, 25) if n > 1 else circuit(
+                1, x(0), h(0), x(0), ry(0.4, 0), x(0), Gate("measure", (0,)))
+            initial = rng.randrange(1 << n)
+            got = run_statevector(circ, initial=initial).amplitudes
+            want = statevector_per_gate(circ, initial)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_every_qubit_flipped_at_the_end(self):
+        circ = circuit(3, h(0), *(x(q) for q in range(3)))
+        got = run_statevector(circ, initial=0b010).amplitudes
+        assert np.allclose(got, statevector_per_gate(circ, 0b010), rtol=0, atol=1e-12)
 
 
 class TestDistribution:

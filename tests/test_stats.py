@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from qsynth.simulate import CountHistogram, sample
-from qsynth.stats import g_statistic, js_divergence, kl_divergence
+from qsynth.stats import _chi2_sf, g_statistic, js_divergence, kl_divergence
 
 
 def random_dist(rng, k):
@@ -134,3 +134,28 @@ class TestGStatistic:
         hist = CountHistogram(counts={"0": 10, "1": 0}, shots=10, num_bits=1)
         g, _ = g_statistic(hist, [1.0, 0.0])
         assert math.isfinite(g)
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 255, 1023, 4095])
+    def test_matches_scipy(self, df):
+        # the bulk, both sides of the series/continued-fraction switch at
+        # x = df + 2, and on into the tail until p underflows
+        xs = np.concatenate([
+            [1e-300, 1e-12, 0.5, 1.0, df - 1.0, df + 1.0, df + 2.0, df + 3.0],
+            np.linspace(0.0, 2.0 * df + 20.0, 101)[1:],
+            np.geomspace(2.0 * df + 20.0, 20.0 * df + 2000.0, 60),
+        ])
+        for x in xs[xs > 0]:
+            want = float(chi2.sf(x, df))
+            got = _chi2_sf(float(x), df)
+            if want > 1e-300:
+                assert got == pytest.approx(want, rel=1e-10), (x, df)
+            else:
+                assert got < 1e-290, (x, df)
+
+    def test_edges(self):
+        assert _chi2_sf(0.0, 3) == 1.0
+        # a perfect match can leave G a rounding error below zero
+        assert _chi2_sf(-1e-16, 1) == 1.0
+        assert _chi2_sf(math.inf, 7) == 0.0

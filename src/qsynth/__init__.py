@@ -73,7 +73,7 @@ from .simulate import (
     sample,
 )
 from .stats import g_statistic, js_divergence, kl_divergence
-from .tbs import RmSpectrum, rm_spectrum, synth_tbs_basic, synth_tbs_rm
+from .tbs import rm_spectrum, synth_tbs_basic, synth_tbs_rm
 
 __version__ = "0.1.0"
 
@@ -90,7 +90,6 @@ __all__ = [
     "Pmf",
     "QromSpec",
     "QsynthError",
-    "RmSpectrum",
     "RttResult",
     "Statevector",
     "TruthTable",

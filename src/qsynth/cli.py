@@ -58,8 +58,7 @@ DEFAULT_BENCH_TIMEOUT = 60.0
 # synthesis core (shared by synth and bench)
 # ---------------------------------------------------------------------------
 
-def _build_circuit(source: Path, method: str, seed: int | None,
-                   qubits: int | None) -> Circuit:
+def _build_circuit(source: Path, method: str, qubits: int | None) -> Circuit:
     text = source.read_text()
     if method == "amplitude":
         bins = read_pmf(text)
@@ -71,7 +70,7 @@ def _build_circuit(source: Path, method: str, seed: int | None,
     if method == "esop":
         return synth_esop(to_esop(table))
     if method in ("tbs", "tbs-rm"):
-        bijection, _ = prepare_bijection(table, seed=seed)
+        bijection, _ = prepare_bijection(table)
         synth = synth_tbs_basic if method == "tbs" else synth_tbs_rm
         return synth(bijection)
     if method in ("basis", "angle", "improved-angle"):
@@ -80,9 +79,9 @@ def _build_circuit(source: Path, method: str, seed: int | None,
 
 
 def _synthesize(source: Path, method: str, opt: list[str], gateset: str,
-                seed: int | None, qubits: int | None) -> tuple[Circuit, dict]:
+                qubits: int | None) -> tuple[Circuit, dict]:
     started = time.perf_counter()
-    circ = _build_circuit(source, method, seed, qubits)
+    circ = _build_circuit(source, method, qubits)
     if opt:
         circ = apply_passes(circ, opt)
     if gateset == "uniform":
@@ -136,8 +135,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     if args.timeout is not None:
         status, payload = _run_cell(source, method, opt, args.gateset,
-                                    args.seed, args.qubits, args.timeout,
-                                    want_qasm=True)
+                                    args.qubits, args.timeout, want_qasm=True)
         if status == "timeout":
             print(f"error: synthesis exceeded {args.timeout} s", file=sys.stderr)
             return EXIT_TIMEOUT
@@ -147,7 +145,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         qasm_text, report = payload["qasm"], payload["report"]
     else:
         circ, report = _synthesize(source, method, opt, args.gateset,
-                                   args.seed, args.qubits)
+                                   args.qubits)
         qasm_text = emit_qasm(circ, gateset=args.gateset)
 
     out = Path(args.out) if args.out else Path(f"{source.stem}.{method}.qasm")
@@ -163,43 +161,41 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_classical(circ: Circuit, source: Path, method: str,
-                      seed: int | None) -> dict:
+def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
     table = parse_pla(source.read_text())
     width = circ.num_qubits
-    if method == "esop":
-        spec = to_esop(table)
-        flat = expand(table)
-        minterms = sorted({int(ins, 2) for ins, _ in flat.rows})
-        words = [x << spec.m for x in minterms]
-        results = run_reversible_table(circ, words)
-        mismatches = sum(
-            1 for x, got in zip(minterms, results)
-            if got != (x << spec.m) | evaluate_esop(spec, x))
-    elif method == "basis":
-        flat = to_truth_table(assign_dont_cares(expand(table)))
-        pairs = sorted(flat.entries.items())
-        words = [a << flat.m for a, _ in pairs]
-        results = run_reversible_table(circ, words)
-        mismatches = sum(
-            1 for (a, wd), got in zip(pairs, results)
-            if got != (a << flat.m) | wd)
-        minterms = [a for a, _ in pairs]
-    else:
-        bijection, _ = prepare_bijection(table, seed=seed)
+    if method in ("tbs", "tbs-rm"):
+        bijection, _ = prepare_bijection(table)
         if bijection.n != width:
             raise VerificationFailed(
                 f"circuit has {width} qubits but the prepared table needs {bijection.n}")
         results = run_reversible_table(circ)
         mismatches = sum(
             1 for x, got in enumerate(results) if got != bijection.entries[x])
-        minterms = list(range(1 << bijection.n))
+        rows_checked = 1 << bijection.n
+    else:
+        m = table.m
+        if table.n + m != width:
+            raise VerificationFailed(
+                f"circuit has {width} qubits but the source needs {table.n + m}")
+        # expected[a] is the word the output register holds for address a
+        if method == "esop":
+            spec = to_esop(table)
+            minterms = {int(ins, 2) for ins, _ in expand(table).rows}
+            expected = {x: evaluate_esop(spec, x) for x in minterms}
+        else:
+            expected = to_truth_table(assign_dont_cares(expand(table))).entries
+        addresses = sorted(expected)
+        results = run_reversible_table(circ, [a << m for a in addresses])
+        mismatches = sum(
+            1 for a, got in zip(addresses, results) if got != (a << m) | expected[a])
+        rows_checked = len(addresses)
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": "classical",
         "method": method,
         "source": source.name,
-        "rows_checked": len(minterms),
+        "rows_checked": rows_checked,
         "mismatches": mismatches,
         "verified": mismatches == 0,
     }
@@ -244,7 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if method == "amplitude":
         report = _verify_encoded(circ, source, args.shots, args.seed)
     else:
-        report = _verify_classical(circ, source, method, args.seed)
+        report = _verify_classical(circ, source, method)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -257,10 +253,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cell_worker(conn, source: str, method: str, opt: list[str],
-                 gateset: str, seed: int | None, qubits: int | None,
-                 want_qasm: bool) -> None:
+                 gateset: str, qubits: int | None, want_qasm: bool) -> None:
     try:
-        circ, report = _synthesize(Path(source), method, opt, gateset, seed, qubits)
+        circ, report = _synthesize(Path(source), method, opt, gateset, qubits)
         payload = {"report": report}
         if want_qasm:
             payload["qasm"] = emit_qasm(circ, gateset=gateset)
@@ -270,7 +265,7 @@ def _cell_worker(conn, source: str, method: str, opt: list[str],
 
 
 def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
-              seed: int | None, qubits: int | None, timeout: float,
+              qubits: int | None, timeout: float,
               want_qasm: bool = False) -> tuple[str, dict]:
     # The parent reads the result while the child writes it: a payload
     # larger than the pipe buffer blocks the child until it is read, so
@@ -279,7 +274,7 @@ def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
     reader, writer = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_cell_worker,
-        args=(writer, str(source), method, opt, gateset, seed, qubits, want_qasm))
+        args=(writer, str(source), method, opt, gateset, qubits, want_qasm))
     proc.start()
     writer.close()  # so that the reader sees EOF once the child is gone
     try:
@@ -305,15 +300,14 @@ _CSV_FIELDS = ("function", "method", "status", "qubits", "gate_count",
 
 
 def _bench_cells(paths: list[Path], methods: list[str], opt: list[str],
-                 gateset: str, seed: int | None, timeout: float) -> list[dict]:
+                 gateset: str, timeout: float) -> list[dict]:
     cells = []
     for path in paths:
         allowed = PMF_METHODS if path.suffix == ".pmf" else PLA_METHODS
         for method in methods:
             if method not in allowed:
                 continue
-            status, payload = _run_cell(path, method, opt, gateset, seed,
-                                        None, timeout)
+            status, payload = _run_cell(path, method, opt, gateset, None, timeout)
             cell = {"function": path.stem, "method": method, "status": status}
             if status == "ok":
                 cell.update(payload["report"])
@@ -347,8 +341,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown method {method!r}")
     opt = _parse_opt(args.opt)
 
-    cells = _bench_cells(paths, methods, opt, args.gateset, args.seed,
-                         args.timeout)
+    cells = _bench_cells(paths, methods, opt, args.gateset, args.timeout)
     if args.report == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION,
                            "timeout_s": args.timeout,
@@ -383,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--opt", help="comma-separated pass names")
     synth.add_argument("--qubits", type=int,
                        help="expected address-qubit count (PMF inputs)")
-    synth.add_argument("--seed", type=int, default=None)
     synth.add_argument("--timeout", type=float, default=None,
                        help="wall-clock cap in seconds")
     synth.add_argument("--out", help="output .qasm path")
@@ -407,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--opt", help="comma-separated pass names")
     bench.add_argument("--gateset", choices=("natural", "uniform"),
                        default="natural")
-    bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--timeout", type=float, default=DEFAULT_BENCH_TIMEOUT)
     bench.add_argument("--report", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", help="write the table here too")

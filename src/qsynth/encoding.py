@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .circuit import Circuit, Gate, rx, ry, rz
+from .circuit import Circuit, rx, ry, rz
 from .errors import (
     DuplicateAddress,
     NotNormalized,
@@ -37,6 +37,7 @@ from .funcprep import (
     normalize_pmf,
     to_truth_table,
 )
+from .esop import EsopSpec, synth_esop
 from .pla import PlaTable
 
 PMF_TOLERANCE = 1e-9
@@ -53,7 +54,6 @@ class QromSpec:
     n: int
     m: int
     pairs: tuple[tuple[int, int], ...]
-    encoding: str = "basis"
 
     def __post_init__(self) -> None:
         seen = set()
@@ -75,16 +75,13 @@ def synth_basis(spec: QromSpec) -> Circuit:
     """One multi-controlled X per stored hot bit, full address controls.
 
     Uses n address plus m data qubits; preparing |a> and measuring the
-    data register reads the stored word with probability 1.
+    data register reads the stored word with probability 1.  Each pair is
+    a dash-free cube, so this is ``synth_esop`` with memory labels.
     """
-    gates = []
-    for a, x in spec.pairs:
-        controls = _address_controls(spec.n, a)
-        for b in range(spec.m - 1, -1, -1):
-            if (x >> b) & 1:
-                gates.append(Gate("x", (spec.n + spec.m - 1 - b,), controls))
+    cubes = tuple((format(a, f"0{spec.n}b"), format(x, f"0{spec.m}b"))
+                  for a, x in spec.pairs)
     labels = tuple(f"a{i}" for i in range(spec.n)) + tuple(f"d{i}" for i in range(spec.m))
-    return Circuit(num_qubits=spec.n + spec.m, gates=tuple(gates), labels=labels)
+    return replace(synth_esop(EsopSpec(spec.n, spec.m, cubes)), labels=labels)
 
 
 def synth_angle(spec: QromSpec, improved: bool = False,
@@ -222,10 +219,10 @@ def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
 # pipelines and ingestion
 # ---------------------------------------------------------------------------
 
-def spec_from_table(table: TruthTable, encoding: str = "basis") -> QromSpec:
+def spec_from_table(table: TruthTable) -> QromSpec:
     """Memory image of a flat table: one pair per defined address."""
     pairs = tuple(sorted(table.entries.items()))
-    return QromSpec(n=table.n, m=table.m, pairs=pairs, encoding=encoding)
+    return QromSpec(n=table.n, m=table.m, pairs=pairs)
 
 
 def qrom_pipeline(
@@ -244,7 +241,7 @@ def qrom_pipeline(
     float-like split into significand and exponent.
     """
     flat = to_truth_table(assign_dont_cares(expand(table, max_rows=max_rows)))
-    spec = spec_from_table(flat, encoding=encoding)
+    spec = spec_from_table(flat)
     if encoding == "basis":
         return synth_basis(spec)
     words = [x for _, x in spec.pairs]

@@ -72,7 +72,8 @@ def _cover_to_xor(cubes: list[tuple[str, str]], n: int, m: int) -> list[tuple[st
     Folding a | b = a ^ b ^ ab over the cube list: adding a cube also adds
     its intersection with every term already present, so double-covered
     minterms get their parity corrected.  Used where a cover interpretation
-    is required regardless of overlap (search predicates).
+    is required regardless of overlap (search predicates).  With one
+    output, a disjoint list of hot cubes comes back unchanged, in order.
     """
     per_output: list[list[str]] = [[] for _ in range(m)]
     for k in range(m):

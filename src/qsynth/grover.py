@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, h, measure, x
 from .errors import AllSolutions, NoSolutions
-from .esop import _cover_to_xor, _intersect
+from .esop import EsopSpec, _cover_to_xor, synth_esop
 from .funcprep import expand
 from .pla import PlaTable
 from .simulate import run_statevector, sample
@@ -56,21 +56,9 @@ def solutions(spec: GroverSpec) -> set[int]:
     return {int(ins, 2) for ins in hits}
 
 
-def _cube_controls(cube: str) -> tuple[tuple[int, bool], ...]:
-    return tuple((q, c == "1") for q, c in enumerate(cube) if c != "-")
-
-
-def _oracle_gates(spec: GroverSpec) -> list[Gate]:
+def _oracle_gates(spec: GroverSpec) -> tuple[Gate, ...]:
     cubes = [(ins, outs) for ins, outs in spec.predicate.rows if outs == "1"]
-    disjoint = all(
-        _intersect(cubes[i][0], cubes[j][0]) is None
-        for i in range(len(cubes))
-        for j in range(i + 1, len(cubes))
-    )
-    if not disjoint:
-        cubes = _cover_to_xor(cubes, spec.n, 1)
-    ancilla = spec.n
-    return [Gate("x", (ancilla,), _cube_controls(ins)) for ins, _ in cubes]
+    return synth_esop(EsopSpec(spec.n, 1, tuple(_cover_to_xor(cubes, spec.n, 1)))).gates
 
 
 def _diffusion_gates(n: int) -> list[Gate]:

@@ -37,33 +37,30 @@ SYMMETRY_TOLERANCE = 1e-12
 # ---------------------------------------------------------------------------
 
 def remove_double_x(circuit: Circuit) -> Circuit:
-    """Delete adjacent self-cancelling X pairs, repeating to fixpoint.
+    """Delete adjacent self-cancelling X pairs.
 
     Only bare (uncontrolled) X gates are touched, and only when no gate
-    between the two members acts on that qubit.
+    between the two members acts on that qubit.  One pass reaches the
+    fixpoint: once a pair cancels, every earlier X on that qubit is
+    either matched already or blocked by a gate that stays.
     """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        # open[q] = index in `out` of an unmatched bare X on qubit q
-        open_x: dict[int, int] = {}
-        for gate in gates:
-            if gate.kind == "x" and not gate.controls:
-                q = gate.targets[0]
-                if q in open_x:
-                    out[open_x.pop(q)] = None
-                    changed = True
-                    continue
-                open_x[q] = len(out)
-                out.append(gate)
+    out: list[Gate | None] = []
+    # open_x[q] = index in `out` of an unmatched bare X on qubit q
+    open_x: dict[int, int] = {}
+    for gate in circuit.gates:
+        if gate.kind == "x" and not gate.controls:
+            q = gate.targets[0]
+            if q in open_x:
+                out[open_x.pop(q)] = None
                 continue
-            for q in gate.qubits:
-                open_x.pop(q, None)
+            open_x[q] = len(out)
             out.append(gate)
-        gates = [g for g in out if g is not None]
-    return Circuit(num_qubits=circuit.num_qubits, gates=tuple(gates),
+            continue
+        for q in gate.qubits:
+            open_x.pop(q, None)
+        out.append(gate)
+    return Circuit(num_qubits=circuit.num_qubits,
+                   gates=tuple(g for g in out if g is not None),
                    labels=circuit.labels)
 
 

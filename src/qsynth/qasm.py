@@ -262,17 +262,14 @@ _MC_RE = re.compile(r"^mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)$")
 _OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _DEF_RE = re.compile(r"gate\s+[A-Za-z_][A-Za-z0-9_]*[^{]*\{[^}]*\}")
 
-# name -> (IR kind, control count); cz round-trips through the cz IR kind
+# name -> (IR kind, control count): the emitter's names inverted; cz
+# round-trips through the cz IR kind
 _NAME_TABLE: dict[str, tuple[str, int]] = {
-    "x": ("x", 0), "cx": ("x", 1), "ccx": ("x", 2),
-    "z": ("z", 0), "cz": ("cz", 1),
-    "h": ("h", 0), "ch": ("h", 1),
-    "sx": ("sx", 0), "csx": ("sx", 1),
-    "sxdg": ("sxdg", 0), "csxdg": ("sxdg", 1),
-    "rx": ("rx", 0), "crx": ("rx", 1),
-    "ry": ("ry", 0), "cry": ("ry", 1),
-    "rz": ("rz", 0), "crz": ("rz", 1),
+    _mc_name(family, k): (kind, k)
+    for kind, family in _FAMILY_OF_KIND.items() if kind != "cz"
+    for k in (0, 1)
 }
+_NAME_TABLE.update(ccx=("x", 2), cz=("cz", 1))
 
 
 def _resolve_name(name: str) -> tuple[str, int]:
@@ -281,9 +278,7 @@ def _resolve_name(name: str) -> tuple[str, int]:
         return hit
     m = _MC_RE.fullmatch(name)
     if m and m.group(1) != "u1":
-        kind = {"x": "x", "z": "z", "rz": "rz", "rx": "rx", "ry": "ry",
-                "h": "h", "sx": "sx", "sxdg": "sxdg"}[m.group(1)]
-        return kind, int(m.group(2))
+        return m.group(1), int(m.group(2))
     raise UnsupportedStatement(f"unknown gate {name!r}")
 
 

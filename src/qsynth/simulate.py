@@ -292,26 +292,12 @@ class CalibrationResult:
     threshold: float
 
 
-def calibrate_shots(
-    pmf: Pmf,
-    circuit: Circuit | None = None,
-    threshold: float = 1e-3,
-    start_shots: int = 1000,
-    margin: float = 1.5,
-    seed: int = 0,
-    cap: int = CALIBRATION_CAP,
-) -> int:
-    """Find a shot budget that makes sampled histograms track the target.
+def calibrate_shots(pmf: Pmf, circuit: Circuit | None = None, **options) -> int:
+    """The recommended shot count of ``calibrate_shots_report``.
 
-    Doubles the shot count until the per-shot G statistic of a sampled
-    histogram against ``pmf`` drops below ``threshold``, then recommends
-    1.5x that count, rounded up.  Raises NonConvergent past ``cap`` shots.
-    See calibrate_shots_report for the accompanying similarity numbers.
+    ``options`` are that function's keyword arguments, with its defaults.
     """
-    return calibrate_shots_report(
-        pmf, circuit, threshold=threshold, start_shots=start_shots,
-        margin=margin, seed=seed, cap=cap,
-    ).shots
+    return calibrate_shots_report(pmf, circuit, **options).shots
 
 
 def calibrate_shots_report(
@@ -323,7 +309,12 @@ def calibrate_shots_report(
     seed: int = 0,
     cap: int = CALIBRATION_CAP,
 ) -> CalibrationResult:
-    """calibrate_shots plus the G and similarity values at the result.
+    """Find a shot budget that makes sampled histograms track the target.
+
+    Doubles the shot count until the per-shot G statistic of a sampled
+    histogram against ``pmf`` drops below ``threshold``, then recommends
+    ``margin`` times that count, rounded up.  Raises NonConvergent past
+    ``cap`` shots.
 
     The raw G statistic grows like a chi-square variable with bins-1
     degrees of freedom, so an absolute threshold as small as 1e-3 is only

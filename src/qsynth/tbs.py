@@ -19,7 +19,6 @@ the simulators use.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ from .errors import NoPivot, NotBijective, NotComplete, NotSquare, SizeLimitExce
 from .funcprep import TruthTable
 
 GATE_CAP = 50_000
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -151,81 +148,29 @@ def synth_tbs_basic(
 # subset-parity spectrum
 # ---------------------------------------------------------------------------
 
-class RmSpectrum:
-    """Positive-polarity Reed-Muller coefficients of a complete table.
+def rm_spectrum(table: TruthTable) -> list[int]:
+    """Positive-polarity Reed-Muller coefficient rows of a complete square table.
 
     Row i is the bitwise XOR of the output words over every submask of i,
-    so row i depends only on table rows <= i and rows can be produced
-    lazily in ascending order.  The transform is a GF(2) involution:
-    evaluate() folds the rows back into function values.
+    computed for all rows at once by the GF(2) butterfly.  The transform
+    is an involution: applied to the rows it gives back the table.
     """
-
-    def __init__(self, n: int, outputs) -> None:
-        self.n = n
-        self._f = outputs
-        self._rows: dict[int, int] = {}
-
-    def row(self, i: int) -> int:
-        """Coefficient row i as an n-bit word (computed on first access)."""
-        cached = self._rows.get(i)
-        if cached is not None:
-            return cached
-        acc = self._f[i]
-        if i:
-            sub = (i - 1) & i
-            while True:
-                acc ^= self._f[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & i
-        self._rows[i] = acc
-        return acc
-
-    def available(self, i: int) -> bool:
-        return i in self._rows
-
-    def coefficient(self, i: int, j: int) -> int:
-        """Single bit R[i][j]: output column j of row i."""
-        return (self.row(i) >> (self.n - 1 - j)) & 1
-
-    def all_rows(self) -> list[int]:
-        """Every row at once via the GF(2) butterfly (and cache them)."""
-        arr = np.array(list(self._f), dtype=np.int64)
-        idx = np.arange(arr.size)
-        for k in range(self.n):
-            hot = (idx >> k) & 1 == 1
-            arr[hot] ^= arr[idx[hot] ^ (1 << k)]
-        rows = arr.tolist()
-        self._rows.update(enumerate(rows))
-        return rows
-
-    def evaluate(self, x: int) -> int:
-        """Fold rows over submasks of x; reproduces the table output."""
-        acc = self.row(x)
-        if x:
-            sub = (x - 1) & x
-            while True:
-                acc ^= self.row(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & x
-        return acc
-
-
-def rm_spectrum(table: TruthTable) -> RmSpectrum:
-    """Spectrum of a complete square table (the TBS-RM driver)."""
     if not table.complete:
         raise NotComplete(f"table defines {len(table.entries)} of {1 << table.n} patterns")
     if table.n != table.m:
         raise NotSquare(f"table is {table.n}x{table.m}")
-    return RmSpectrum(table.n, table.as_list())
+    arr = np.array(table.as_list(), dtype=np.int64)
+    idx = np.arange(arr.size)
+    for k in range(table.n):
+        hot = (idx >> k) & 1 == 1
+        arr[hot] ^= arr[idx[hot] ^ (1 << k)]
+    return arr.tolist()
 
 
 def synth_tbs_rm(
     table: TruthTable,
     gate_cap: int = GATE_CAP,
     with_trace: bool = False,
-    fallback: bool = True,
 ):
     """Spectral sweep: drive the coefficient rows to the identity pattern.
 
@@ -238,17 +183,14 @@ def synth_tbs_rm(
 
     * row 0: one X per hot coefficient bit;
     * row 2^k: if bit k is missing, borrow it from a higher hot bit s via
-      CX(s -> k) (such an s always exists for a bijection); then CX(k -> j)
-      clears every other hot bit j;
+      CX(s -> k); then CX(k -> j) clears every other hot bit j.  Such an
+      s always exists for a bijection: rows below 2^k already map to
+      themselves, so f(2^k) >= 2^k has a bit at or above k;
     * other rows i: with s the highest hot bit (binary(i) is always 0
       there), CX(s -> j) folds the other hot bits j into bit s, one
       multi-controlled X with controls on the 1-bits of i clears bit s,
       and re-applying the CX gates in reverse order compensates the rows
       below i that the fan-out disturbed.
-
-    ``fallback=False`` raises NoPivot instead of falling back to the
-    basic rule if a power-of-two row ever lacks a pivot (unreachable for
-    valid bijections; kept as a guard).
     """
     _check_square_bijection(table)
     sweep = _Sweep(table, gate_cap)
@@ -269,16 +211,7 @@ def synth_tbs_rm(
             if not (r >> k) & 1:
                 higher = [j for j in range(k + 1, n) if (r >> j) & 1]
                 if not higher:
-                    if not fallback:
-                        raise NoPivot(f"row {i} has no coefficient bit above {k}")
-                    logger.warning("no pivot for spectral row %d; using the basic rule", i)
-                    sweep.basic_row(i)
-                    if with_trace:
-                        steps.append(TraceStep(
-                            row=i, table=tuple(int(v) for v in sweep.y),
-                            gates_added=len(sweep.recorded) - before,
-                        ))
-                    continue
+                    raise NoPivot(f"row {i} has no coefficient bit above {k}")
                 s = max(higher)
                 sweep.apply(1 << s, k)
                 r = int(sweep.y[i])

@@ -10,10 +10,14 @@ from pathlib import Path
 import pytest
 
 import qsynth
+from qsynth.circuit import lower_negative_controls
 from qsynth.cli import main
+from qsynth.esop import EsopSpec, synth_esop
+from qsynth.funcprep import assign_dont_cares, expand, to_truth_table
+from qsynth.pla import parse_pla
 from qsynth.qasm import parse_qasm
 
-from conftest import bench_path
+from conftest import BENCH_DIR, bench_path
 
 PLA = """.i 3
 .o 2
@@ -185,6 +189,20 @@ class TestSynth:
                          "--gateset", "uniform") == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BENCH_DIR.glob("*.pla")))
+    def test_basis_is_esop_over_minterms(self, tmp_path, name):
+        source = bench_path(f"{name}.pla")
+        out = tmp_path / "b.qasm"
+        assert run_synth(source, out, "--method", "basis") == 0
+        flat = to_truth_table(assign_dont_cares(expand(parse_pla(source.read_text()))))
+        cubes = tuple((format(a, f"0{flat.n}b"), format(word, f"0{flat.m}b"))
+                      for a, word in sorted(flat.entries.items()))
+        esop = synth_esop(EsopSpec(flat.n, flat.m, cubes))
+        text = out.read_text()
+        assert parse_qasm(text).gates == lower_negative_controls(esop).gates
+        labels = [f"a{i}" for i in range(flat.n)] + [f"d{i}" for i in range(flat.m)]
+        assert text.splitlines()[1] == "// labels: " + " ".join(labels)
+
     @pytest.mark.parametrize("gateset", ["natural", "uniform"])
     def test_graycode_output_pinned(self, tmp_path, gateset):
         # the Gray-code angles of the O(4^k) fsum solve, to the last bit
@@ -244,10 +262,11 @@ class TestVerify:
     def test_wide_esop(self, tmp_path, capsys):
         # ex5: 71 qubits, so the words do not fit a machine integer
         source = bench_path("ex5.pla")
-        assert self.synth_and_verify(source, "esop", tmp_path) == 0
-        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
-        assert report["mismatches"] == 0
-        assert report["rows_checked"] > 0
+        for method in ("esop", "basis"):
+            assert self.synth_and_verify(source, method, tmp_path) == 0, method
+            report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+            assert report["mismatches"] == 0
+            assert report["rows_checked"] > 0
 
     def test_amplitude_report(self, pmf_file, tmp_path, capsys):
         out = tmp_path / "amp.qasm"
@@ -281,11 +300,18 @@ class TestVerify:
         other = tmp_path / "other.pla"
         other.write_text(".i 2\n.o 2\n00 01\n01 10\n10 11\n11 01\n.e\n")
         out = tmp_path / "w2.qasm"
-        run_synth(other, out, "--method", "tbs")
+        for method in ("tbs", "esop", "basis"):
+            run_synth(other, out, "--method", method)
+            capsys.readouterr()
+            code = main(["verify", str(out), str(pla_file), "--method", method])
+            assert code == 3, method
+            assert "VerificationFailed" in capsys.readouterr().err
+        # a 10-qubit circuit checked against a 5-input, 8-output source
+        run_synth(bench_path("Z9sym.pla"), out, "--method", "esop")
         capsys.readouterr()
-        code = main(["verify", str(out), str(pla_file), "--method", "tbs"])
+        code = main(["verify", str(out), str(bench_path("squar5.pla")), "--method", "esop"])
         assert code == 3
-        assert "VerificationFailed" in capsys.readouterr().err
+        assert "circuit has 10 qubits but the source needs 13" in capsys.readouterr().err
 
 
 class TestBench:

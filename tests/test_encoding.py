@@ -77,7 +77,7 @@ class TestBasis:
 
 class TestAngle:
     def two_pair_spec(self):
-        return QromSpec(n=2, m=3, pairs=((1, 4), (2, 6)), encoding="angle")
+        return QromSpec(n=2, m=3, pairs=((1, 4), (2, 6)))
 
     def test_normalized_required(self):
         with pytest.raises(ValueError, match="normalized"):

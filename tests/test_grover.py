@@ -1,5 +1,6 @@
 """Search circuits built from cube predicates over a six-bit card deck."""
 
+import hashlib
 import math
 
 import pytest
@@ -123,6 +124,20 @@ class TestBuildGrover:
         assert circ.num_qubits == 7
         assert circ.labels == ("x0", "x1", "x2", "x3", "x4", "x5", "anc")
         assert circ.measured_qubits() == (0, 1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("cubes,k,sha256", [
+        ((card_cube("diamonds", 10),), 6,
+         "a23b996224b85911dcb2121db7c6ef3c1a63fa4992c17a30f78071aaf2667c4d"),
+        ((card_cube("clubs"),), 2,
+         "2f4d717978cfd1c5d30fbd4c37b96ed271b3723df331a9c7c22346c33f83495c"),
+        # overlapping cubes: the oracle goes through the exclusive rewrite
+        ((card_cube("hearts"), card_cube(value=1)), 1,
+         "ba7783046acdb83b1afe4164b1884e0486c5ca05899ff25aa12191ea1e553693"),
+    ])
+    def test_card_gates_pinned(self, cubes, k, sha256):
+        table = predicate(6, [(cube, "1") for cube in cubes])
+        circ = build_grover(GroverSpec(n=6, predicate=table, k=k))
+        assert hashlib.sha256(repr(circ.gates).encode()).hexdigest() == sha256
 
     def test_degenerate_predicates_rejected(self):
         with pytest.raises(NoSolutions):

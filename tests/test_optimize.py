@@ -62,6 +62,20 @@ class TestRemoveDoubleX:
             slim = remove_double_x(circ)
             assert np.allclose(unitary(slim), unitary(circ), atol=1e-12)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(picks=st.lists(st.tuples(st.sampled_from(("x", "x", "cx", "h")),
+                                    st.integers(0, 2), st.integers(1, 2)),
+                          max_size=16))
+    def test_one_pass_is_the_fixpoint(self, picks):
+        gates = []
+        for kind, q, shift in picks:
+            if kind == "cx":
+                gates.append(x(q, ((q + shift) % 3,)))
+            else:
+                gates.append(x(q) if kind == "x" else h(q))
+        once = remove_double_x(circuit(3, *gates))
+        assert remove_double_x(once).gates == once.gates
+
 
 class TestMcxLadder:
     def test_three_controls_become_toffolis(self):

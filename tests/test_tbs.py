@@ -136,43 +136,26 @@ class TestTrace:
 class TestSpectrum:
     def test_one_bit_rows(self):
         # row 0 = f(0); row 1 = f(0) ^ f(1)
-        assert rm_spectrum(bijection([0, 1])).all_rows() == [0, 1]
-        assert rm_spectrum(bijection([1, 0])).all_rows() == [1, 1]
+        assert rm_spectrum(bijection([0, 1])) == [0, 1]
+        assert rm_spectrum(bijection([1, 0])) == [1, 1]
 
     def test_identity_spectrum(self):
         # identity has unit-vector rows exactly at the powers of two
-        spec = rm_spectrum(bijection(list(range(8))))
-        rows = spec.all_rows()
+        rows = rm_spectrum(bijection(list(range(8))))
         for i in range(8):
             assert rows[i] == (i if i == 0 or i & (i - 1) == 0 else 0)
 
-    def test_lazy_matches_butterfly(self, rng):
-        values = [rng.randrange(16) for _ in range(16)]
-        table = TruthTable(n=4, m=4, entries=dict(enumerate(values)))
-        lazy = rm_spectrum(table)
-        rows_first = [lazy.row(i) for i in range(16)]
-        assert rows_first == rm_spectrum(table).all_rows()
-
-    def test_rows_cached_on_access(self):
-        spec = rm_spectrum(bijection([2, 0, 3, 1]))
-        assert not spec.available(3)
-        spec.row(3)
-        assert spec.available(3)
-
     def test_evaluate_inverts_transform(self, rng):
+        # the butterfly is an involution: the spectrum of the rows is the table
         values = [rng.randrange(8) for _ in range(8)]
-        table = TruthTable(n=3, m=3, entries=dict(enumerate(values)))
-        spec = rm_spectrum(table)
-        for x in range(8):
-            assert spec.evaluate(x) == values[x]
-
-    def test_coefficient_column_order(self):
-        # n=2, f = [0, 1, 2, 3]: row 1 = 01, so column 0 (high bit) is 0
-        spec = rm_spectrum(bijection([0, 1, 2, 3]))
-        assert spec.coefficient(1, 0) == 0
-        assert spec.coefficient(1, 1) == 1
-        assert spec.coefficient(2, 0) == 1
-        assert spec.coefficient(2, 1) == 0
+        rows = rm_spectrum(TruthTable(n=3, m=3, entries=dict(enumerate(values))))
+        for i, row in enumerate(rows):  # row i: XOR of f over the submasks of i
+            expected = 0
+            for j in range(8):
+                if j & i == j:
+                    expected ^= values[j]
+            assert row == expected
+        assert rm_spectrum(TruthTable(n=3, m=3, entries=dict(enumerate(rows)))) == values
 
     def test_incomplete_rejected(self):
         table = TruthTable(n=2, m=2, entries={0: 3})
@@ -195,7 +178,7 @@ class TestSpectralSweep:
         for _ in range(30):
             perm = list(range(16))
             rng.shuffle(perm)
-            circ = synth_tbs_rm(bijection(perm), fallback=False)
+            circ = synth_tbs_rm(bijection(perm))
             assert realized(circ) == perm
 
     def test_swap_function(self):

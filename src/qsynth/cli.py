@@ -12,7 +12,7 @@ Three subcommands share one synthesis core:
 
 Exit codes: 0 success / all cells ok, 1 bench grid had failing cells,
 2 usage, 3 verification failed, 4 domain error, 5 timeout.  All output
-files are byte-deterministic for fixed inputs and seed except for the
+files are byte-deterministic for fixed inputs except for the
 ``synth_time_us`` field, which records the actual wall time.
 """
 
@@ -65,7 +65,7 @@ def _build_circuit(source: Path, method: str, qubits: int | None) -> Circuit:
         if qubits is not None and len(bins) != 1 << qubits:
             raise ValueError(
                 f"{source.name} holds {len(bins)} bins, not 2^{qubits}")
-        return qrng_pipeline(bins, mode="probability")
+        return qrng_pipeline(bins)
     table = parse_pla(text)
     if method == "esop":
         return synth_esop(to_esop(table))
@@ -131,6 +131,8 @@ def _method_for(path: Path, method: str | None) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     source = Path(args.source)
     method = _method_for(source, args.method)
+    if args.qubits is not None and method != "amplitude":
+        raise ValueError("--qubits applies to .pmf sources")
     opt = _parse_opt(args.opt)
 
     if args.timeout is not None:
@@ -163,33 +165,30 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
     table = parse_pla(source.read_text())
-    width = circ.num_qubits
+    # expected maps each input word on the first `width` qubits to the
+    # word the circuit must leave there
     if method in ("tbs", "tbs-rm"):
         bijection, _ = prepare_bijection(table)
-        if bijection.n != width:
-            raise VerificationFailed(
-                f"circuit has {width} qubits but the prepared table needs {bijection.n}")
-        results = run_reversible_table(circ)
-        mismatches = sum(
-            1 for x, got in enumerate(results) if got != bijection.entries[x])
-        rows_checked = 1 << bijection.n
+        width, expected = bijection.n, bijection.entries
     else:
-        m = table.m
-        if table.n + m != width:
-            raise VerificationFailed(
-                f"circuit has {width} qubits but the source needs {table.n + m}")
-        # expected[a] is the word the output register holds for address a
+        width, m = table.n + table.m, table.m
         if method == "esop":
             spec = to_esop(table)
             minterms = {int(ins, 2) for ins, _ in expand(table).rows}
-            expected = {x: evaluate_esop(spec, x) for x in minterms}
+            outputs = {a: evaluate_esop(spec, a) for a in minterms}
         else:
-            expected = to_truth_table(assign_dont_cares(expand(table))).entries
-        addresses = sorted(expected)
-        results = run_reversible_table(circ, [a << m for a in addresses])
-        mismatches = sum(
-            1 for a, got in zip(addresses, results) if got != (a << m) | expected[a])
-        rows_checked = len(addresses)
+            outputs = to_truth_table(assign_dont_cares(expand(table))).entries
+        expected = {a << m: (a << m) | y for a, y in outputs.items()}
+    # qubits past the width are ancillas (e.g. from mcx-ladder): they sit
+    # below the source bits in each word and must start and end at 0
+    ancillas = circ.num_qubits - width
+    if ancillas < 0:
+        raise VerificationFailed(
+            f"circuit has {circ.num_qubits} qubits but the source needs {width}")
+    results = run_reversible_table(circ, [x << ancillas for x in expected])
+    mismatches = sum(
+        1 for x, got in zip(expected, results) if got != expected[x] << ancillas)
+    rows_checked = len(expected)
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": "classical",

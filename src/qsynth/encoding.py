@@ -84,31 +84,24 @@ def synth_basis(spec: QromSpec) -> Circuit:
     return replace(synth_esop(EsopSpec(spec.n, spec.m, cubes)), labels=labels)
 
 
-def synth_angle(spec: QromSpec, improved: bool = False,
-                normalized: NormalizedWords | None = None) -> Circuit:
+def synth_angle(spec: QromSpec, normalized: NormalizedWords) -> Circuit:
     """Rotation memory on n address qubits plus one data qubit.
 
     ``normalized`` supplies one value per pair, in pair order.  Plain
     mode: pairs at even positions store their value as an RX (so
     P(data=1 | that address) = sin^2(value)) and pairs at odd positions
-    store theirs as an RZ phase; values must lie in [0, 2*pi).  Improved
-    mode needs float-like words and stores, per address, the significand
-    as an RX and the integer exponent as an RZ.  Zero-valued words emit
-    nothing.
+    store theirs as an RZ phase; values must lie in [0, 2*pi).  Float-like
+    words select improved mode, which stores, per address, the
+    significand as an RX and the integer exponent as an RZ.  Zero-valued
+    words emit nothing.
     """
-    if normalized is None:
-        raise ValueError("synth_angle needs normalized word values")
     if len(normalized.values) != len(spec.pairs):
         raise ValueError(
             f"{len(normalized.values)} values for {len(spec.pairs)} pairs"
         )
     data = spec.n
     gates = []
-    if improved:
-        if normalized.scheme != "floatlike":
-            raise ValueOutOfRange(
-                f"improved angle mode needs floatlike words, got {normalized.scheme!r}"
-            )
+    if normalized.scheme == "floatlike":
         for j, (a, _) in enumerate(spec.pairs):
             s = normalized.significands[j]
             e = normalized.exponents[j]
@@ -225,43 +218,29 @@ def spec_from_table(table: TruthTable) -> QromSpec:
     return QromSpec(n=table.n, m=table.m, pairs=pairs)
 
 
-def qrom_pipeline(
-    table: PlaTable,
-    encoding: str = "basis",
-    scheme: str | None = None,
-    hidden_bit: bool = False,
-    strict_halfopen: bool = False,
-    max_rows: int | None = None,
-) -> Circuit:
+def qrom_pipeline(table: PlaTable, encoding: str = "basis") -> Circuit:
     """Cube list to memory circuit: expand, flatten, encode.
 
     Addresses the cubes leave undefined hold the word 0.  The angle
-    encoding normalizes words to [0,1) (``fixedpoint01``, the default) or
-    [0,4) (``fixedpoint04``); the improved-angle encoding uses the
-    float-like split into significand and exponent.
+    encoding normalizes words to [0,1) (``fixedpoint01``); the
+    improved-angle encoding uses the float-like split into significand
+    and exponent.
     """
-    flat = to_truth_table(assign_dont_cares(expand(table, max_rows=max_rows)))
+    flat = to_truth_table(assign_dont_cares(expand(table)))
     spec = spec_from_table(flat)
     if encoding == "basis":
         return synth_basis(spec)
     words = [x for _, x in spec.pairs]
     if encoding == "angle":
-        chosen = scheme or "fixedpoint01"
-        if chosen not in ("fixedpoint01", "fixedpoint04"):
-            raise ValueError(f"angle encoding expects a fixed-point scheme, got {chosen!r}")
-        normalized = normalize(words, chosen, width=spec.m,
-                               strict_halfopen=strict_halfopen)
-        return synth_angle(spec, improved=False, normalized=normalized)
+        return synth_angle(spec, normalize(words, "fixedpoint01", width=spec.m))
     if encoding == "improved-angle":
-        normalized = normalize(words, "floatlike", width=spec.m,
-                               hidden_bit=hidden_bit)
-        return synth_angle(spec, improved=True, normalized=normalized)
+        return synth_angle(spec, normalize(words, "floatlike", width=spec.m))
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
-def qrng_pipeline(bins, mode: str = "probability", prune: bool = False) -> Circuit:
+def qrng_pipeline(bins) -> Circuit:
     """Raw histogram heights to an amplitude-encoding circuit."""
-    return synth_amplitude(normalize_pmf(bins, mode=mode), prune=prune)
+    return synth_amplitude(normalize_pmf(bins, mode="probability"))
 
 
 def read_pmf(text: str) -> list[float]:

@@ -18,6 +18,7 @@ import math
 import os
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -95,14 +96,14 @@ class TruthTable:
         return [self.entries[x] for x in range(1 << self.n)]
 
 
-def expand(table: PlaTable, max_rows: int | None = None) -> PlaTable:
+def expand(table: PlaTable) -> PlaTable:
     """Expand input dashes so every row's input field is fully specified.
 
     A row with q input dashes becomes 2**q rows.  Output fields are copied
-    untouched.  The expansion refuses to materialize more than ``max_rows``
-    rows (default: the QSYNTH_MAX_ROWS cap).
+    untouched.  The expansion refuses to materialize more rows than the
+    QSYNTH_MAX_ROWS cap.
     """
-    cap = row_cap() if max_rows is None else max_rows
+    cap = row_cap()
     total = 0
     for ins, _ in table.rows:
         total += 1 << ins.count("-")
@@ -183,59 +184,37 @@ def make_one_to_one(table: TruthTable) -> RttResult:
     """Embed a table into an injective square one.
 
     The largest output multiplicity N_dup fixes v = ceil(log2 N_dup) garbage
-    output bits and w = max(0, v + m - n) input ancilla bits; the final width
-    is max(n+w, m+v) on both sides.  Within each group of rows sharing an
-    output value, garbage values count 0, 1, 2, ... in order of appearance
-    and the ancilla bits follow the same counter (truncated to w bits).
-    Already-injective tables keep their values but are still padded to a
-    square width when the sides differ.
+    output bits (0 for an injective table) and w = max(0, v + m - n) input
+    ancilla bits; the final width is max(n+w, m+v) on both sides.  Within
+    each group of rows sharing an output value, garbage values count 0, 1,
+    2, ... in order of appearance and the ancilla bits follow the same
+    counter (truncated to w bits).  A table that is already injective and
+    square is returned as it is.
     """
     n, m = table.n, table.m
-    inputs = sorted(table.entries)
-    multiplicity: dict[int, int] = {}
-    for x in inputs:
-        y = table.entries[x]
-        multiplicity[y] = multiplicity.get(y, 0) + 1
-    n_dup = max(multiplicity.values(), default=0)
-
-    if n_dup <= 1:
-        if n == m:
-            return RttResult(
-                table=table, v=0, w=0, n_dup=n_dup, source_n=n, source_m=m,
-                input_map={x: x for x in inputs},
-            )
-        w = max(0, m - n)
-        width = max(n + w, m)
-        entries = {x << w: y << (width - m) for x, y in table.entries.items()}
-        return RttResult(
-            table=TruthTable(n=width, m=width, entries=entries),
-            v=0, w=w, n_dup=n_dup, source_n=n, source_m=m,
-            input_map={x: x << w for x in inputs},
-        )
-
-    v = max(1, math.ceil(math.log2(n_dup)))
+    n_dup = max(Counter(table.entries.values()).values(), default=0)
+    v = max(n_dup - 1, 0).bit_length()
     w = max(0, v + m - n)
     width = max(n + w, m + v)
 
     counters: dict[int, int] = {}
     entries: dict[int, int] = {}
     input_map: dict[int, int] = {}
-    for x in inputs:
+    for x in sorted(table.entries):
         y = table.entries[x]
         k = counters.get(y, 0)
         counters[y] = k + 1
-        if multiplicity[y] > 1:
-            ancilla = k % (1 << w) if w else 0
-        else:
-            ancilla = 0
-        new_x = (x << w) | ancilla
+        new_x = (x << w) | (k % (1 << w))
         new_y = (y << (width - m)) | k
         input_map[x] = new_x
         entries[new_x] = new_y
 
-    result = TruthTable(n=width, m=width, entries=entries)
-    if not result.injective:
-        raise NotInjective("embedding failed to separate duplicate outputs")
+    if width == n == m:
+        result = table
+    else:
+        result = TruthTable(n=width, m=width, entries=entries)
+        if not result.injective:
+            raise NotInjective("embedding failed to separate duplicate outputs")
     return RttResult(
         table=result, v=v, w=w, n_dup=n_dup, source_n=n, source_m=m,
         input_map=input_map,
@@ -246,7 +225,6 @@ def make_onto(
     table: TruthTable,
     strategy: str = "hamming_min",
     seed: int | None = None,
-    max_rows: int | None = None,
 ) -> TruthTable:
     """Complete an injective square table to a full bijection.
 
@@ -260,7 +238,7 @@ def make_onto(
         raise NotSquare(f"table is {table.n}x{table.m}, embed it first")
     if not table.injective:
         raise NotInjective("table has duplicate outputs, embed it first")
-    cap = row_cap() if max_rows is None else max_rows
+    cap = row_cap()
     size = 1 << table.n
     if size > cap:
         raise SizeLimitExceeded(f"bijection on {table.n} bits needs {size} rows, cap is {cap}")
@@ -298,16 +276,11 @@ def make_onto(
     return TruthTable(n=table.n, m=table.m, entries=entries)
 
 
-def prepare_bijection(
-    table: PlaTable,
-    strategy: str = "hamming_min",
-    seed: int | None = None,
-    max_rows: int | None = None,
-) -> tuple[TruthTable, RttResult]:
+def prepare_bijection(table: PlaTable) -> tuple[TruthTable, RttResult]:
     """Full preprocessing chain from a cube list to a complete bijection."""
-    flat = assign_dont_cares(expand(table, max_rows=max_rows))
+    flat = assign_dont_cares(expand(table))
     rtt = make_one_to_one(to_truth_table(flat))
-    onto = make_onto(rtt.table, strategy=strategy, seed=seed, max_rows=max_rows)
+    onto = make_onto(rtt.table)
     return onto, rtt
 
 

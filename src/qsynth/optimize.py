@@ -376,9 +376,6 @@ def _bare_translation(gate: Gate) -> list[Gate]:
     return [gate]
 
 
-UNIFORM_KINDS = frozenset({"rx", "ry", "rz", "x", "h", "measure"})
-
-
 def lower_to_uniform(circuit: Circuit) -> Circuit:
     """Rewrite to {rx, ry, rz, cx, x, h, measure}, up to global phase.
 

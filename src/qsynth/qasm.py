@@ -200,6 +200,8 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     both modes.  Angles are printed with repr so parsing them back is
     exact.  Each distinct Gate object is checked and formatted once.
     """
+    if gateset not in ("natural", "uniform"):
+        raise ValueError(f"unknown gateset {gateset!r}")
     circuit = lower_negative_controls(circuit)
     names: set[str] = set()
 
@@ -216,8 +218,6 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
                     f"{gate.kind} with {gate.num_controls} controls is outside "
                     "the uniform gateset"
                 )
-        elif gateset != "natural":
-            raise ValueError(f"unknown gateset {gateset!r}")
         name = _gate_name(gate)
         names.add(name)
         operands = ",".join(f"q[{q}]" for q in gate.qubits)

@@ -104,6 +104,13 @@ class TestSynth:
         assert run_synth(pmf_file, out, "--qubits", "3") == 4
         assert "bins" in capsys.readouterr().err
 
+    def test_qubits_rejected_for_pla(self, tmp_path, capsys):
+        out = tmp_path / "squar5.qasm"
+        assert run_synth(bench_path("squar5.pla"), out, "--method", "esop",
+                         "--qubits", "3") == 4
+        assert "--qubits applies to .pmf sources" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pla_requires_method(self, pla_file, tmp_path, capsys):
         assert run_synth(pla_file, tmp_path / "x.qasm") == 4
         assert "--method is required" in capsys.readouterr().err
@@ -267,6 +274,28 @@ class TestVerify:
             report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
             assert report["mismatches"] == 0
             assert report["rows_checked"] > 0
+
+    @pytest.mark.parametrize("method, qubits", [("esop", 17), ("basis", 17), ("tbs", 16)])
+    def test_mcx_ladder_ancillas(self, tmp_path, method, qubits, capsys):
+        # the ladder appends ancillas past the source's qubits; they start
+        # and must end at 0
+        source = bench_path("squar5.pla")
+        out = tmp_path / f"{method}.qasm"
+        assert run_synth(source, out, "--method", method, "--opt", "mcx-ladder") == 0
+        assert parse_qasm(out.read_text()).num_qubits == qubits
+        capsys.readouterr()
+        assert main(["verify", str(out), str(source), "--method", method]) == 0
+        assert json.loads(capsys.readouterr().out)["mismatches"] == 0
+
+    def test_dirty_ancilla_fails(self, tmp_path, capsys):
+        source = bench_path("squar5.pla")
+        out = tmp_path / "esop.qasm"
+        run_synth(source, out, "--method", "esop", "--opt", "mcx-ladder")
+        capsys.readouterr()
+        out.write_text(out.read_text() + "x q[16];\n")
+        assert main(["verify", str(out), str(source), "--method", "esop"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["mismatches"] == report["rows_checked"] == 32
 
     def test_amplitude_report(self, pmf_file, tmp_path, capsys):
         out = tmp_path / "amp.qasm"

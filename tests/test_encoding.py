@@ -79,10 +79,6 @@ class TestAngle:
     def two_pair_spec(self):
         return QromSpec(n=2, m=3, pairs=((1, 4), (2, 6)))
 
-    def test_normalized_required(self):
-        with pytest.raises(ValueError, match="normalized"):
-            synth_angle(self.two_pair_spec())
-
     def test_value_count_must_match(self):
         words = NormalizedWords(scheme="fixedpoint01", width=3, values=(0.5,))
         with pytest.raises(ValueError, match="values for"):
@@ -121,16 +117,11 @@ class TestAngle:
         miss = run_statevector(circ, initial=0).distribution(qubits=(2,))
         assert miss[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_improved_needs_floatlike(self):
-        words = NormalizedWords(scheme="fixedpoint01", width=3, values=(0.5, 0.5))
-        with pytest.raises(ValueOutOfRange, match="floatlike"):
-            synth_angle(self.two_pair_spec(), improved=True, normalized=words)
-
     def test_improved_layout(self):
         # 0b100 -> S=2, E=0; 0b011 -> S=3, E=1; 0b000 emits nothing
         spec = QromSpec(n=2, m=3, pairs=((0, 4), (1, 3), (2, 0)))
         words = normalize([4, 3, 0], "floatlike", width=3)
-        circ = synth_angle(spec, improved=True, normalized=words)
+        circ = synth_angle(spec, normalized=words)
         kinds = [(g.kind, g.angle, g.controls) for g in circ.gates]
         assert kinds == [
             ("rx", 4.0, ((0, False), (1, False))),
@@ -141,7 +132,7 @@ class TestAngle:
     def test_improved_zero_exponent_skips_rz(self):
         spec = QromSpec(n=1, m=3, pairs=((0, 4),))
         words = normalize([4], "floatlike", width=3)
-        circ = synth_angle(spec, improved=True, normalized=words)
+        circ = synth_angle(spec, normalized=words)
         assert [g.kind for g in circ.gates] == ["rx"]
 
 
@@ -229,10 +220,6 @@ class TestPipelines:
         assert circ.gates[0].kind == "rx"
         assert circ.gates[0].angle == pytest.approx(2 * (1 / 8))
 
-    def test_angle_pipeline_rejects_float_scheme(self):
-        with pytest.raises(ValueError, match="fixed-point"):
-            qrom_pipeline(parse_pla(self.PLA), encoding="angle", scheme="floatlike")
-
     def test_improved_angle_pipeline(self):
         circ = qrom_pipeline(parse_pla(self.PLA), encoding="improved-angle")
         assert circ.num_qubits == 3
@@ -243,7 +230,7 @@ class TestPipelines:
             qrom_pipeline(parse_pla(self.PLA), encoding="phase")
 
     def test_qrng_pipeline_probability_mode(self):
-        circ = qrng_pipeline([1.0, 3.0], mode="probability")
+        circ = qrng_pipeline([1.0, 3.0])
         state = run_statevector(circ)
         np.testing.assert_allclose(state.probabilities(), (0.25, 0.75), atol=1e-12)
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.errors import (
     AllZero,
@@ -53,10 +55,11 @@ def test_expand_no_dashes_is_identity():
     assert expand(table).rows == table.rows
 
 
-def test_expand_row_cap():
+def test_expand_row_cap(monkeypatch):
+    monkeypatch.setenv("QSYNTH_MAX_ROWS", "1000")
     cube = ("-" * 12, "1")
     with pytest.raises(SizeLimitExceeded):
-        expand(pla(12, 1, [cube]), max_rows=1000)
+        expand(pla(12, 1, [cube]))
 
 
 def test_expand_row_cap_env(monkeypatch):
@@ -162,6 +165,63 @@ def test_one_to_one_preserves_function(rng):
             assert rtt.table.entries[rtt.input_map[x]] >> shift == y
         values = list(rtt.table.entries.values())
         assert len(set(values)) == len(values)
+
+
+def reference_one_to_one(table):
+    """The embedding with separate injective and duplicate branches, kept as
+    the reference: (entries, v, w, n_dup, input_map)."""
+    n, m = table.n, table.m
+    inputs = sorted(table.entries)
+    multiplicity = {}
+    for x in inputs:
+        y = table.entries[x]
+        multiplicity[y] = multiplicity.get(y, 0) + 1
+    n_dup = max(multiplicity.values(), default=0)
+
+    if n_dup <= 1:
+        if n == m:
+            return dict(table.entries), 0, 0, n_dup, {x: x for x in inputs}
+        w = max(0, m - n)
+        width = max(n + w, m)
+        entries = {x << w: y << (width - m) for x, y in table.entries.items()}
+        return entries, 0, w, n_dup, {x: x << w for x in inputs}
+
+    v = max(1, math.ceil(math.log2(n_dup)))
+    w = max(0, v + m - n)
+    width = max(n + w, m + v)
+    counters = {}
+    entries = {}
+    input_map = {}
+    for x in inputs:
+        y = table.entries[x]
+        k = counters.get(y, 0)
+        counters[y] = k + 1
+        if multiplicity[y] > 1:
+            ancilla = k % (1 << w) if w else 0
+        else:
+            ancilla = 0
+        new_x = (x << w) | ancilla
+        input_map[x] = new_x
+        entries[new_x] = (y << (width - m)) | k
+    return entries, v, w, n_dup, input_map
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    outputs = st.integers(0, (1 << m) - 1)
+    entries = draw(st.dictionaries(st.integers(0, (1 << n) - 1), outputs,
+                                   max_size=1 << n))
+    return TruthTable(n=n, m=m, entries=entries)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=small_tables())
+def test_one_to_one_matches_reference(table):
+    rtt = make_one_to_one(table)
+    got = (rtt.table.entries, rtt.v, rtt.w, rtt.n_dup, rtt.input_map)
+    assert got == reference_one_to_one(table)
 
 
 # ---------------------------------------------------------------------------

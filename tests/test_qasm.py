@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qsynth.circuit import Circuit, Gate, h, lower_negative_controls, ry, rz, x
+from qsynth.circuit import Circuit, Gate, h, lower_negative_controls, measure, ry, rz, x
 from qsynth.errors import UnsupportedGateForGateset, UnsupportedStatement
 from qsynth.esop import to_esop, synth_esop
 from qsynth.optimize import lower_to_uniform
@@ -102,6 +102,12 @@ class TestUniformGateset:
     def test_unknown_gateset(self):
         with pytest.raises(ValueError, match="unknown gateset"):
             emit_qasm(circuit(1, x(0)), gateset="bare")
+
+    def test_unknown_gateset_without_gates(self):
+        # no gate to check: the gate set is still checked up front
+        for circ in (circuit(2, measure(0)), circuit(2)):
+            with pytest.raises(ValueError, match="unknown gateset"):
+                emit_qasm(circ, gateset="bogus")
 
 
 class TestParse:

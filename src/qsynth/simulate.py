@@ -5,7 +5,10 @@ Two execution models cover everything the synthesizers emit:
 * reversible propagation of basis states through X-family gates, for
   checking classical circuits on full truth tables, and
 * dense statevector simulation (capped at 20 qubits) for everything with
-  rotations, Hadamards, or phases.
+  rotations, Hadamards, or phases.  A run of ``ry`` and ``cx`` gates on
+  one target, as the amplitude encoder and its Gray-code form emit, is
+  one multiplexed rotation: one Walsh-Hadamard transform of its angles
+  and one vectorised 2x2 update, instead of a pass over the state per gate.
 
 Sampling is a separate, seeded step so every histogram in reports and
 tests is reproducible.  The generator is numpy's default PCG64, which is
@@ -29,6 +32,7 @@ CALIBRATION_CAP = 1 << 26
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _MATRICES = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "cz": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -70,6 +74,9 @@ class Statevector:
         if qubits is None:
             return probs.reshape(-1)
         keep = list(qubits)
+        for i, q in enumerate(keep):
+            if q in keep[:i]:
+                raise ValueError(f"qubit {q} is listed more than once")
         drop = tuple(q for q in range(self.num_qubits) if q not in keep)
         marginal = probs.sum(axis=drop) if drop else probs
         # axes of `marginal` follow ascending qubit index; reorder as asked
@@ -160,8 +167,10 @@ def _words_of(columns: list[int], rows: int) -> list[int]:
 def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
     """Apply the circuit to |initial> exactly.
 
-    Measurement gates leave the state untouched here; use sample() to draw
-    outcomes.  Refuses circuits wider than MAX_STATEVECTOR_QUBITS.
+    Each run of ``ry`` gates and singly controlled ``x`` gates on one
+    target is applied at once, as a multiplexed rotation (see _apply_run).
+    Measurement gates leave the state untouched here; use sample() to
+    draw outcomes.  Refuses circuits wider than MAX_STATEVECTOR_QUBITS.
     """
     n = circuit.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
@@ -177,40 +186,125 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
     # fire on the other half, and a gate M on a flipped target acts as
     # X M X, which is M with both axes reversed.
     flipped = [False] * n
-    for g in circuit.gates:
-        if g.kind == "measure":
-            continue
-        target = g.targets[0]
-        if g.kind == "x" and not g.controls:
-            flipped[target] = not flipped[target]
-            continue
-        index: list = [slice(None)] * n
-        for q, positive in g.controls:
-            index[q] = int(positive) ^ flipped[q]
-        if g.kind == "x":
-            # a permutation: swap the target's |0> and |1> halves (slices,
-            # not indices, so that both stay views when every axis is fixed)
-            index[target] = slice(0, 1)
-            zero = state[tuple(index)]
-            index[target] = slice(1, 2)
-            one = state[tuple(index)]
-            swapped = zero.copy()
-            zero[...] = one
-            one[...] = swapped
-            continue
-        mat = _gate_matrix(g)
-        if flipped[target]:
-            mat = mat[::-1, ::-1]
-        axis = target - sum(1 for q, _ in g.controls if q < target)
-        view = state[tuple(index)]
-        moved = np.moveaxis(view, axis, 0)
-        updated = (mat @ moved.reshape(2, -1)).reshape(moved.shape)
-        moved[...] = updated
+    gates, start = circuit.gates, 0
+    while start < len(gates):
+        target, end = gates[start].targets[0], start
+        while end < len(gates) and _joins(gates[end], target):
+            end += 1
+        run = gates[start:max(end, start + 1)]
+        if len(run) < 2 or not _apply_run(state, run, flipped):
+            for g in run:
+                _apply_gate(state, g, flipped)
+        start += len(run)
 
     axes = tuple(q for q in range(n) if flipped[q])
     if axes:
         state = np.flip(state, axis=axes)
     return Statevector(amplitudes=state.reshape(-1), num_qubits=n)
+
+
+def _joins(g, target: int) -> bool:
+    """Whether ``g`` extends a run on ``target``: an ry or an x with at
+    most one control on it, or a measurement or bare X anywhere."""
+    if g.kind == "measure" or g.kind == "x" and not g.controls:
+        return True
+    return g.targets[0] == target and (g.kind == "ry" or g.kind == "x" and len(g.controls) == 1)
+
+
+def _apply_run(state: np.ndarray, run, flipped: list[bool]) -> bool:
+    """Apply a run as one multiplexed rotation; False if it does not fit.
+
+    In stored (frame) coordinates the run is RY(angle[p]) then
+    X^(flip + |mask & p|) on each pattern p of its controls: a cx adds its
+    control to ``mask`` (and 1 to ``flip`` if it fires on 0), a bare X on
+    the target adds 1 to ``flip``.  An RY after an X is the negated RY
+    before it, so an ry controlled on all the controls adds its signed
+    angle to direct[p], an uncontrolled one to walsh[mask], and angle =
+    direct + WHT(walsh).  An ry on only some of the controls does not fit.
+    """
+    controls = sorted({q for q, _ in set().union(*(g.controls for g in run))})
+    k = len(controls)
+    if any(g.kind == "ry" and 0 < len(g.controls) < k for g in run):
+        return False
+    bit = {q: 1 << (k - 1 - j) for j, q in enumerate(controls)}
+    # an ry fires on pattern sum(fires[c] for c in its controls) ^ frame
+    fires = {(q, positive): b if positive else 0 for q, b in bit.items() for positive in (0, 1)}
+    frame = sum(b for q, b in bit.items() if flipped[q])
+    target = run[0].targets[0]
+    sign = -1.0 if flipped[target] else 1.0
+    walsh, direct = [0.0] * (1 << k), [0.0] * (1 << k)
+    mask = flip = 0
+    for g in run:
+        q = g.targets[0]
+        if g.kind == "ry" and g.controls:
+            pattern = sum(map(fires.__getitem__, g.controls)) ^ frame
+            negate = (flip + (mask & pattern).bit_count()) & 1
+            direct[pattern] += -sign * g.angle if negate else sign * g.angle
+        elif g.kind == "ry":
+            walsh[mask] += -sign * g.angle if flip else sign * g.angle
+        elif g.controls:
+            (c, positive), = g.controls
+            mask ^= bit[c]
+            flip ^= positive == flipped[c]
+        elif g.kind == "x" and q == target:
+            flip ^= 1
+        elif g.kind == "x":
+            flipped[q] = not flipped[q]
+            frame ^= bit.get(q, 0)
+    angles = np.array(direct) + _walsh_hadamard(walsh)
+    if mask or angles.any():
+        odd = _walsh_hadamard(np.arange(1 << k) == mask) < 0  # |mask & p| is odd
+        cos, sin = np.cos(angles / 2), np.sin(angles / 2)
+        # RY = [[cos, -sin], [sin, cos]]; the X after it swaps the rows
+        entries = (np.where(odd, sin, cos), np.where(odd, cos, -sin),
+                   np.where(odd, cos, sin), np.where(odd, -sin, cos))
+        shape = [2 if q in bit else 1 for q in range(state.ndim)]
+        _update(state, [slice(None)] * state.ndim, target, *(e.reshape(shape) for e in entries))
+    if flip:
+        flipped[target] = not flipped[target]
+    return True
+
+
+def _walsh_hadamard(w) -> np.ndarray:
+    """out[p] = sum over m of (-1)^|m & p| * w[m], in O(k * 2^k)."""
+    w = np.asarray(w, dtype=float)
+    size, half = w.size, 1
+    while half < size:
+        w = w.reshape(-1, 2, half)
+        w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
+        half *= 2
+    return w.reshape(-1)
+
+
+def _update(state: np.ndarray, index: list, target: int, m00, m01, m10, m11) -> None:
+    """Apply [[m00, m01], [m10, m11]] to the target's halves of state[index].
+
+    Slices, not indices, so that both halves stay views when every axis
+    is fixed; the entries are scalars or arrays that broadcast.
+    """
+    index[target] = slice(0, 1)
+    zero = state[tuple(index)]
+    index[target] = slice(1, 2)
+    one = state[tuple(index)]
+    new_zero = m00 * zero + m01 * one
+    one *= m11
+    one += m10 * zero
+    zero[...] = new_zero
+
+
+def _apply_gate(state: np.ndarray, g, flipped: list[bool]) -> None:
+    """Apply one gate through the X frame."""
+    target = g.targets[0]
+    if g.kind == "x" and not g.controls:
+        flipped[target] = not flipped[target]
+    elif g.kind != "measure":
+        index: list = [slice(None)] * state.ndim
+        for q, positive in g.controls:
+            index[q] = int(positive) ^ flipped[q]
+        mat = _gate_matrix(g)
+        if flipped[target]:
+            mat = mat[::-1, ::-1]
+        _update(state, index, target, *mat.ravel())
 
 
 @dataclass
@@ -325,13 +419,13 @@ def calibrate_shots_report(
     """
     from .stats import _chi2_sf, kl_divergence
 
-    source = circuit if circuit is not None else pmf
+    probs, _ = _distribution_of(circuit if circuit is not None else pmf)
     target = np.asarray(pmf.probs)
 
     shots = start_shots
     attempt = 0
     while True:
-        hist = sample(source, shots, seed=seed + attempt)
+        hist = sample(probs, shots, seed=seed + attempt)
         g_norm = 2.0 * kl_divergence(hist.empirical(), target)
         if g_norm < threshold:
             break
@@ -341,7 +435,7 @@ def calibrate_shots_report(
             raise NonConvergent(f"no shot count below {cap} met G < {threshold}")
 
     recommended = math.ceil(margin * shots)
-    final = sample(source, recommended, seed=seed + 1000)
+    final = sample(probs, recommended, seed=seed + 1000)
     g_final = 2.0 * kl_divergence(final.empirical(), target)
     p_final = _chi2_sf(g_final, 1)
     return CalibrationResult(

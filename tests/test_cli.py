@@ -310,6 +310,16 @@ class TestVerify:
         assert 0.0 <= report["p"] <= 1.0
         assert report["shots"] == 2048
 
+    def test_qubit_measured_twice(self, tmp_path, capsys):
+        out = tmp_path / "twice.qasm"
+        out.write_text("OPENQASM 2.0;\ngate h a { U(pi/2,0,pi) a; }\nqreg q[1];\n"
+                       "creg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n"
+                       "measure q[0] -> c[1];\n")
+        source = tmp_path / "four.pmf"
+        source.write_text("1\n1\n1\n1\n")
+        assert main(["verify", str(out), str(source)]) == 4
+        assert "qubit 0 is listed more than once" in capsys.readouterr().err
+
     def test_report_written_to_file(self, pla_file, tmp_path, capsys):
         out = tmp_path / "w.qasm"
         run_synth(pla_file, out, "--method", "esop")

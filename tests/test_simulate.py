@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsynth.circuit import Circuit, Gate, h, ry, x
+from qsynth import simulate
+from qsynth.circuit import Circuit, Gate, h, lower_negative_controls, measure, ry, x
+from qsynth.encoding import read_pmf, synth_amplitude
 from qsynth.errors import NonClassicalGate, NonConvergent, TooManyQubits
-from qsynth.funcprep import Pmf
+from qsynth.funcprep import Pmf, normalize_pmf
+from qsynth.optimize import graycode_optimize, lower_to_uniform
+from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.simulate import (
     MAX_STATEVECTOR_QUBITS,
+    CalibrationResult,
     CountHistogram,
     calibrate_shots,
     calibrate_shots_report,
@@ -20,7 +27,7 @@ from qsynth.simulate import (
     sample,
 )
 
-from conftest import random_circuit, unitary
+from conftest import bench_path, random_circuit, unitary
 
 SV_KINDS = ("x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure")
 
@@ -335,3 +342,139 @@ class TestCalibration:
         loose = calibrate_shots_report(pmf, threshold=1e-2, seed=0)
         tight = calibrate_shots_report(pmf, threshold=1e-4, seed=0)
         assert tight.calibrated_at >= loose.calibrated_at
+
+
+class TestRepeatedMeasurement:
+    def test_distribution_names_the_qubit(self):
+        state = run_statevector(circuit(2, h(0)))
+        with pytest.raises(ValueError, match="qubit 0 "):
+            state.distribution(qubits=(0, 0))
+        with pytest.raises(ValueError, match="qubit 1 "):
+            state.distribution(qubits=(1, 0, 1))
+
+    def test_sample_circuit_measuring_twice(self):
+        circ = circuit(2, h(0), measure(0), measure(0))
+        with pytest.raises(ValueError, match="qubit 0 "):
+            sample(circ, 10, seed=0)
+
+
+class TestCalibrationSource:
+    # values of the per-doubling sampler, which re-simulated the circuit
+    PINNED = {
+        "bimodal": CalibrationResult(shots=6000, calibrated_at=4000,
+                                     g=0.0001580348298279811, p=0.9899699053979795,
+                                     threshold=0.001),
+        "arbitrary": CalibrationResult(shots=96000, calibrated_at=64000,
+                                       g=0.00025449235604719156, p=0.987272033833175,
+                                       threshold=0.001),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_simulation_same_result(self, name, monkeypatch):
+        pmf = normalize_pmf(read_pmf(bench_path(f"{name}.pmf").read_text()),
+                            mode="probability")
+        circ = synth_amplitude(pmf)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_statevector(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_statevector", counted)
+        report = calibrate_shots_report(pmf, circ)
+        assert len(calls) == 1
+        assert report == self.PINNED[name]
+
+
+def random_state_prefix(draw, n):
+    """Gates that take a basis state to a generic complex superposition."""
+    angle = st.floats(-6.0, 6.0, allow_nan=False)
+    gates = []
+    for q in range(n):
+        gates += [Gate("rx", (q,), (), draw(angle)), Gate("rz", (q,), (), draw(angle))]
+    gates += [Gate("cz", (q + 1,), ((q, True),)) for q in range(n - 1)]
+    gates += [Gate("ry", (q,), (), draw(angle)) for q in range(n)]
+    return gates
+
+
+@st.composite
+def run_circuits(draw):
+    """Runs on one target in Gray form, tree form or both, cut by other gates.
+
+    Bare X gates on the controls and on the target and measurements fall
+    inside runs; h, rz, a two-control X and an ry on part of the control
+    set end a run or make it fall back to per-gate replay.
+    """
+    n = draw(st.integers(2, 5))
+    angle = st.floats(-6.0, 6.0, allow_nan=False)
+    polarity = st.booleans()
+    gates = random_state_prefix(draw, n)
+    for _ in range(draw(st.integers(1, 5))):
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        controls = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        form = draw(st.sampled_from(("gray", "tree", "mixed")))
+        steps = {"gray": ("ry", "cx"), "tree": ("cry",), "mixed": ("ry", "cx", "cry")}[form]
+        steps += ("x-control", "x-target", "measure")
+        for _ in range(draw(st.integers(1, 12))):
+            step = draw(st.sampled_from(steps))
+            if step == "ry":
+                gates.append(Gate("ry", (target,), (), draw(angle)))
+            elif step == "cx":
+                gates.append(Gate("x", (target,),
+                                  ((draw(st.sampled_from(controls)), draw(polarity)),)))
+            elif step == "cry":
+                gates.append(Gate("ry", (target,),
+                                  tuple((q, draw(polarity)) for q in controls), draw(angle)))
+            elif step == "x-control":
+                gates.append(x(draw(st.sampled_from(controls))))
+            elif step == "x-target":
+                gates.append(x(target))
+            else:
+                gates.append(measure(draw(st.sampled_from(range(n)))))
+        cut = draw(st.sampled_from(("none", "h", "rz", "ccx", "partial")))
+        if cut == "h":
+            gates.append(h(draw(st.sampled_from(range(n)))))
+        elif cut == "rz":
+            gates.append(Gate("rz", (target,), (), draw(angle)))
+        elif cut == "ccx" and n > 2:
+            pair = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+            gates.append(Gate("x", (target,), tuple((q, draw(polarity)) for q in pair)))
+        elif cut == "partial" and len(others) > 1:
+            part = draw(st.lists(st.sampled_from(others), min_size=1,
+                                 max_size=len(others) - 1, unique=True))
+            gates.append(Gate("ry", (target,), tuple((q, draw(polarity)) for q in part),
+                              draw(angle)))
+    initial = draw(st.integers(0, (1 << n) - 1))
+    return Circuit(num_qubits=n, gates=tuple(gates)), initial
+
+
+class TestRunFusion:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(run_circuits())
+    def test_matches_per_gate_reference(self, case):
+        circ, initial = case
+        got = run_statevector(circ, initial=initial).amplitudes
+        want = statevector_per_gate(circ, initial)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "smooth"])
+    def test_seeded_pmfs(self, shape):
+        rng = np.random.default_rng(20240811)
+        for k in (8, 10, 12):
+            size = 1 << k
+            if shape == "dense":
+                heights = 1.0 - rng.random(size)
+            elif shape == "sparse":  # zero-mass bins, so zero-angle subtrees
+                heights = rng.random(size) * (rng.random(size) < 0.3)
+            else:
+                heights = 1e-3 + np.exp(-0.5 * ((np.arange(size) - size / 2) / (size / 8)) ** 2)
+            pmf = normalize_pmf(list(heights), mode="probability")
+            plain = synth_amplitude(pmf)
+            gray = graycode_optimize(plain)
+            for circ, gateset in ((plain, "natural"), (gray, "natural"),
+                                  (lower_to_uniform(gray), "uniform")):
+                parsed = parse_qasm(emit_qasm(lower_negative_controls(circ), gateset=gateset))
+                got = run_statevector(parsed).amplitudes
+                assert np.allclose(got, statevector_per_gate(parsed), rtol=0, atol=1e-12)
+                assert np.allclose(np.abs(got) ** 2, pmf.probs, rtol=0, atol=1e-12)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .circuit import Circuit, lower_negative_controls, metrics
 from .encoding import qrng_pipeline, qrom_pipeline, read_pmf
-from .errors import QsynthError, VerificationFailed
+from .errors import QsynthError, SizeLimitExceeded, VerificationFailed
 from .esop import evaluate_esop, synth_esop, to_esop
 from .funcprep import assign_dont_cares, expand, normalize_pmf, prepare_bijection, to_truth_table
 from .optimize import PASSES, apply_passes, lower_to_uniform
@@ -141,7 +141,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if status == "timeout":
             print(f"error: synthesis exceeded {args.timeout} s", file=sys.stderr)
             return EXIT_TIMEOUT
-        if status == "error":
+        if status != "ok":
             print(f"error: {payload['error']}: {payload['detail']}", file=sys.stderr)
             return EXIT_DOMAIN
         qasm_text, report = payload["qasm"], payload["report"]
@@ -260,7 +260,14 @@ def _cell_worker(conn, source: str, method: str, opt: list[str],
             payload["qasm"] = emit_qasm(circ, gateset=gateset)
         conn.send(("ok", payload))
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent verbatim
-        conn.send(("error", {"error": type(exc).__name__, "detail": str(exc)}))
+        conn.send((_status_of(exc), {"error": type(exc).__name__, "detail": str(exc)}))
+
+
+def _status_of(exc: Exception) -> str:
+    """A failed cell's status class, split as main() splits exit codes."""
+    if isinstance(exc, SizeLimitExceeded):
+        return "cap"
+    return "unsupported" if isinstance(exc, (QsynthError, ValueError, OSError)) else "crashed"
 
 
 def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
@@ -285,8 +292,8 @@ def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
             status, payload = reader.recv()
         except EOFError:  # a wordless crash (e.g. OOM kill)
             proc.join()
-            return "error", {"error": "WorkerCrashed",
-                             "detail": f"exit code {proc.exitcode}"}
+            return "crashed", {"error": "WorkerCrashed",
+                               "detail": f"exit code {proc.exitcode}"}
         proc.join()
         return status, payload
     finally:
@@ -312,9 +319,8 @@ def _bench_cells(paths: list[Path], methods: list[str], opt: list[str],
                 cell.update(payload["report"])
                 for key in ("schema_version", "source", "gateset", "opt"):
                     cell.pop(key, None)
-            elif status == "error":
-                cell["error"] = payload["error"]
-                cell["detail"] = payload["detail"]
+            else:
+                cell.update(payload)  # the error and detail of a failed cell
             cells.append(cell)
     return cells
 

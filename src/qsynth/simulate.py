@@ -29,6 +29,9 @@ from .funcprep import Pmf
 
 MAX_STATEVECTOR_QUBITS = 20
 CALIBRATION_CAP = 1 << 26
+# sample() clears bins below this (under 1e-8 counts at 2^63 shots): a residue
+# in place of an exact 0 changes how numpy consumes its stream, redrawing all
+_SAMPLE_FLOOR = 2.0 ** -90
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _MATRICES = {
@@ -364,6 +367,7 @@ def sample(obj, shots: int, seed: int | None = None) -> CountHistogram:
     if shots <= 0:
         raise ValueError("shots must be positive")
     probs, num_bits = _distribution_of(obj)
+    probs = np.where(probs < _SAMPLE_FLOOR, 0.0, probs)
     total = probs.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"distribution sums to {total}, not 1")

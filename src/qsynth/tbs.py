@@ -20,14 +20,18 @@ the simulators use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import NoPivot, NotBijective, NotComplete, NotSquare, SizeLimitExceeded
 from .funcprep import TruthTable
+from .simulate import _bit_columns, _words_of
 
 GATE_CAP = 50_000
+_BLOCK = 4096  # settled rows are dropped from the sweep this many at a time
 
 
 @dataclass(frozen=True)
@@ -67,55 +71,64 @@ def _as_gate(n: int, mask: int, bit: int) -> Gate:
 
 
 class _Sweep:
-    """Shared bookkeeping: the evolving table and the recorded cascade."""
+    """Shared bookkeeping: the bit-sliced table and the recorded cascade.
+
+    Bit i of ``cols[b]`` is bit b of row ``base + i``, as in run_reversible_table;
+    the settled rows below ``base`` map to themselves and were dropped.
+    """
 
     def __init__(self, table: TruthTable, gate_cap: int) -> None:
         self.n = table.n
-        self.y = np.array(table.as_list(), dtype=np.int64)
+        self.cols = _bit_columns(table.as_list(), self.n)[::-1]
+        self.base = 0
         self.gate_cap = gate_cap
         self.recorded: list[tuple[int, int]] = []
 
-    def apply(self, mask: int, bit: int, start: int = 0) -> None:
-        """Record one (multi-)controlled X and apply it to rows >= start."""
+    def apply(self, mask: int, bit: int) -> None:
+        """Record one (multi-)controlled X and apply it to every live row."""
         if len(self.recorded) >= self.gate_cap:
-            raise SizeLimitExceeded(
-                f"synthesis would need more than {self.gate_cap} gates"
-            )
+            raise SizeLimitExceeded(f"synthesis would need more than {self.gate_cap} gates")
         self.recorded.append((mask, bit))
-        tail = self.y[start:]
-        if mask:
-            sel = (tail & mask) == mask
-            tail[sel] ^= 1 << bit
-        else:
-            tail ^= 1 << bit
+        controls = [c for b, c in enumerate(self.cols) if (mask >> b) & 1]
+        live = reduce(and_, controls) if controls else (1 << ((1 << self.n) - self.base)) - 1
+        self.cols[bit] ^= live
+
+    def value(self, x: int) -> int:
+        """Row x's current value; every row below x must be settled."""
+        if x - self.base >= _BLOCK:
+            self.cols = [c >> (x - self.base) for c in self.cols]
+            self.base = x
+        probe = 1 << (x - self.base)
+        return sum(1 << b for b, c in enumerate(self.cols) if c & probe)
+
+    def snapshot(self) -> tuple[int, ...]:
+        """The whole table, settled rows included; the window stays put."""
+        return (*range(self.base), *_words_of(self.cols[::-1], (1 << self.n) - self.base))
 
     def basic_row(self, x: int) -> int:
-        """Miller's rule for one row; returns the number of gates added."""
-        cur = int(self.y[x])
-        if cur == x:
-            return 0
-        added = 0
+        """Miller's rule for one row; returns the number of gates added.
+
+        No gate fires on a settled row p < x, so all live rows may take it:
+        both masks (the current value, >= x, and x) lie only in values >= x.
+        """
+        cur, before = self.value(x), len(self.recorded)
         # raise the bits x has and the current value lacks, controlling on
         # the 1-bits of the (growing) current value
         for b in range(self.n):
             if (x >> b) & 1 and not (cur >> b) & 1:
-                self.apply(cur, b, start=x)
+                self.apply(cur, b)
                 cur |= 1 << b
-                added += 1
         # clear the extra bits, controlling on the 1-bits of x
         for b in range(self.n):
             if not (x >> b) & 1 and (cur >> b) & 1:
-                self.apply(x, b, start=x)
-                cur ^= 1 << b
-                added += 1
-        return added
+                self.apply(x, b)
+        return len(self.recorded) - before
 
     def circuit(self) -> Circuit:
-        gates = tuple(_as_gate(self.n, m, b) for m, b in reversed(self.recorded))
-        return Circuit(num_qubits=self.n, gates=gates)
-
-    def trace_gates(self) -> tuple[Gate, ...]:
-        return tuple(_as_gate(self.n, m, b) for m, b in self.recorded)
+        """The reversed cascade, with one shared Gate per distinct gate."""
+        made = {key: _as_gate(self.n, *key) for key in set(self.recorded)}
+        return Circuit(num_qubits=self.n,
+                       gates=tuple(made[key] for key in reversed(self.recorded)))
 
 
 def synth_tbs_basic(
@@ -137,10 +150,10 @@ def synth_tbs_basic(
     for x in range(1 << table.n):
         added = sweep.basic_row(x)
         if with_trace:
-            steps.append(TraceStep(row=x, table=tuple(int(v) for v in sweep.y), gates_added=added))
+            steps.append(TraceStep(row=x, table=sweep.snapshot(), gates_added=added))
     circuit = sweep.circuit()
     if with_trace:
-        return circuit, SynthTrace(gates=sweep.trace_gates(), steps=tuple(steps))
+        return circuit, SynthTrace(gates=circuit.gates[::-1], steps=tuple(steps))
     return circuit
 
 
@@ -199,27 +212,23 @@ def synth_tbs_rm(
 
     for i in range(1 << n):
         before = len(sweep.recorded)
-        cur = int(sweep.y[i])
+        r = sweep.value(i)
         if i == 0:
-            r = cur
             for b in range(n):
                 if (r >> b) & 1:
                     sweep.apply(0, b)
         elif i & (i - 1) == 0:
             k = i.bit_length() - 1
-            r = cur
             if not (r >> k) & 1:
-                higher = [j for j in range(k + 1, n) if (r >> j) & 1]
-                if not higher:
+                if not r >> (k + 1):
                     raise NoPivot(f"row {i} has no coefficient bit above {k}")
-                s = max(higher)
-                sweep.apply(1 << s, k)
-                r = int(sweep.y[i])
+                sweep.apply(1 << (r.bit_length() - 1), k)  # the highest hot bit
+                r = sweep.value(i)
             for j in range(n):
                 if j != k and (r >> j) & 1:
                     sweep.apply(1 << k, j)
         else:
-            r = i ^ cur
+            r ^= i
             if r:
                 s = r.bit_length() - 1
                 others = [j for j in range(n) if j != s and (r >> j) & 1]
@@ -229,12 +238,10 @@ def synth_tbs_rm(
                 for j in reversed(others):
                     sweep.apply(1 << s, j)
         if with_trace:
-            steps.append(TraceStep(
-                row=i, table=tuple(int(v) for v in sweep.y),
-                gates_added=len(sweep.recorded) - before,
-            ))
+            steps.append(TraceStep(row=i, table=sweep.snapshot(),
+                                   gates_added=len(sweep.recorded) - before))
 
     circuit = sweep.circuit()
     if with_trace:
-        return circuit, SynthTrace(gates=sweep.trace_gates(), steps=tuple(steps))
+        return circuit, SynthTrace(gates=circuit.gates[::-1], steps=tuple(steps))
     return circuit

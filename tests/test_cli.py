@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qsynth
+from qsynth import cli
 from qsynth.circuit import lower_negative_controls
 from qsynth.cli import main
 from qsynth.esop import EsopSpec, synth_esop
@@ -156,6 +157,14 @@ class TestSynth:
         code = run_synth(pla_file, tmp_path / "x.qasm", "--method", "tbs")
         assert code == 4
         assert "SizeLimitExceeded" in capsys.readouterr().err
+
+    def test_wide_bijection_reaches_gate_cap(self, tmp_path, capsys):
+        # apex4's 2^20-row bijection: the sweep runs into the 50,000-gate cap
+        out = tmp_path / "apex4.qasm"
+        code = run_synth(bench_path("apex4.pla"), out, "--method", "tbs-rm")
+        assert code == 4
+        assert "SizeLimitExceeded" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_timeout(self, tmp_path, capsys):
         out = tmp_path / "slow.qasm"
@@ -390,8 +399,28 @@ class TestBench:
                      "--methods", "tbs"])
         assert code == 1
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[1].split(",")[2] == "error"
+        assert lines[1].split(",")[2] == "cap"
         assert "SizeLimitExceeded" in lines[1]
+
+    def test_unsupported_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pla"
+        bad.write_text(".i 2\n.o 1\n111 1\n.e\n")
+        code = main(["bench", "--functions", str(bad), "--methods", "esop",
+                     "--report", "json"])
+        assert code == 1
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert cell["status"] == "unsupported"
+        assert cell["error"] and cell["detail"]
+
+    def test_crashed_cell(self, pla_file, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("worker bug")
+        monkeypatch.setattr(cli, "_synthesize", boom)
+        code = main(["bench", "--functions", str(pla_file), "--methods", "esop",
+                     "--report", "json"])
+        assert code == 1
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert (cell["status"], cell["error"]) == ("crashed", "RuntimeError")
 
     def test_timeout_cell(self, capsys):
         code = main(["bench", "--functions", str(bench_path("dist.pla")),

@@ -1,7 +1,12 @@
 """Minimal-qubit synthesis of complete bijections, plain and spectral."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsynth import tbs
+from qsynth.circuit import Circuit
 from qsynth.errors import NotBijective, NotComplete, NotSquare, SizeLimitExceeded
 from qsynth.funcprep import TruthTable
 from qsynth.simulate import run_reversible_table
@@ -188,3 +193,97 @@ class TestSpectralSweep:
             circ = synth(bijection(perm))
             assert circ.num_qubits == 2
             assert realized(circ) == perm
+
+
+class ReferenceSweep:
+    """The numpy sweep the bit-sliced one replaced, as a drop-in for it.
+
+    It keeps the whole table and rewrites its tail from row ``start`` for
+    every gate; Miller's rule applies its gates from the current row on.
+    """
+
+    def __init__(self, table, gate_cap):
+        self.n = table.n
+        self.y = np.array(table.as_list(), dtype=np.int64)
+        self.gate_cap = gate_cap
+        self.recorded = []
+
+    def apply(self, mask, bit, start=0):
+        if len(self.recorded) >= self.gate_cap:
+            raise SizeLimitExceeded(
+                f"synthesis would need more than {self.gate_cap} gates")
+        self.recorded.append((mask, bit))
+        tail = self.y[start:]
+        if mask:
+            tail[(tail & mask) == mask] ^= 1 << bit
+        else:
+            tail ^= 1 << bit
+
+    def value(self, x):
+        return int(self.y[x])
+
+    def snapshot(self):
+        return tuple(int(v) for v in self.y)
+
+    def basic_row(self, x):
+        cur = int(self.y[x])
+        added = 0
+        for b in range(self.n):
+            if (x >> b) & 1 and not (cur >> b) & 1:
+                self.apply(cur, b, start=x)
+                cur |= 1 << b
+                added += 1
+        for b in range(self.n):
+            if not (x >> b) & 1 and (cur >> b) & 1:
+                self.apply(x, b, start=x)
+                cur ^= 1 << b
+                added += 1
+        return added
+
+    def circuit(self):
+        gates = tuple(tbs._as_gate(self.n, m, b) for m, b in reversed(self.recorded))
+        return Circuit(num_qubits=self.n, gates=gates)
+
+
+def sweep_run(synth, table, cap, sweep_class):
+    """Gates and snapshots of an uncapped traced run, and where ``cap`` stops it."""
+    sweeps = []
+
+    class Spy(sweep_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tbs, "_Sweep", Spy)
+        circ, trace = synth(table, with_trace=True)
+        try:
+            synth(table, gate_cap=cap)
+            stop = None
+        except SizeLimitExceeded as exc:
+            stop = (str(exc), len(sweeps[-1].recorded))
+    return circ.gates, trace.gates, [(s.row, s.table, s.gates_added) for s in trace.steps], stop
+
+
+class TestBitSlicedSweep:
+    """The bit-sliced sweep records what the numpy table sweep recorded."""
+
+    @pytest.mark.parametrize("block", [tbs._BLOCK, 1, 4])
+    @BOTH
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(perm=st.integers(1, 6).flatmap(lambda n: st.permutations(range(1 << n))),
+           cap=st.integers(0, 40))
+    def test_matches_numpy_reference(self, synth, block, perm, cap):
+        table = bijection(perm)
+        expected = sweep_run(synth, table, cap, ReferenceSweep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tbs, "_BLOCK", block)  # small blocks cross many row drops
+            assert sweep_run(synth, table, cap, tbs._Sweep) == expected
+
+    @BOTH
+    def test_repeated_gates_share_one_object(self, synth, rng):
+        perm = list(range(32))
+        rng.shuffle(perm)
+        gates = synth(bijection(perm)).gates
+        assert len(set(gates)) < len(gates)  # the CX fan-outs repeat
+        assert len({id(g) for g in gates}) == len(set(gates))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
 GATE_KINDS = frozenset({"x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure"})
@@ -132,6 +133,18 @@ def _per_gate(gates, fn) -> Iterator:
     return map(cache.__getitem__, ids)
 
 
+def _rewrite(circuit: Circuit, expand, extra: int = 0) -> Circuit:
+    """``circuit`` with each gate replaced by ``expand(gate)``.
+
+    Each distinct gate object is expanded once, so the output repeats
+    one expansion's Gate objects wherever its input gate recurs.  The
+    ``extra`` appended qubits are ancillas labelled ``anc0, anc1, ...``.
+    """
+    gates = tuple(chain.from_iterable(_per_gate(circuit.gates, expand)))
+    labels = circuit.labels + tuple(f"anc{i}" for i in range(extra)) if circuit.labels else ()
+    return Circuit(circuit.num_qubits + extra, gates, labels)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An immutable gate list over num_qubits qubits.
@@ -241,10 +254,7 @@ def lower_negative_controls(circuit: Circuit) -> Circuit:
     if all(pos for g in _distinct(circuit.gates) for _, pos in g.controls):
         return circuit
     flips: dict[int, Gate] = {}
-    gates: list[Gate] = []
-    for expansion in _per_gate(circuit.gates, lambda g: _x_conjugated(g, flips)):
-        gates.extend(expansion)
-    return replace(circuit, gates=tuple(gates))
+    return _rewrite(circuit, lambda g: _x_conjugated(g, flips))
 
 
 def _x_conjugated(gate: Gate, flips: dict[int, Gate]) -> tuple[Gate, ...]:

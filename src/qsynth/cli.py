@@ -25,6 +25,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import Circuit, lower_negative_controls, metrics
 from .encoding import qrng_pipeline, qrom_pipeline, read_pmf
 from .errors import QsynthError, SizeLimitExceeded, VerificationFailed
@@ -58,14 +60,10 @@ DEFAULT_BENCH_TIMEOUT = 60.0
 # synthesis core (shared by synth and bench)
 # ---------------------------------------------------------------------------
 
-def _build_circuit(source: Path, method: str, qubits: int | None) -> Circuit:
+def _build_circuit(source: Path, method: str) -> Circuit:
     text = source.read_text()
     if method == "amplitude":
-        bins = read_pmf(text)
-        if qubits is not None and len(bins) != 1 << qubits:
-            raise ValueError(
-                f"{source.name} holds {len(bins)} bins, not 2^{qubits}")
-        return qrng_pipeline(bins)
+        return qrng_pipeline(read_pmf(text))
     table = parse_pla(text)
     if method == "esop":
         return synth_esop(to_esop(table))
@@ -78,10 +76,10 @@ def _build_circuit(source: Path, method: str, qubits: int | None) -> Circuit:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _synthesize(source: Path, method: str, opt: list[str], gateset: str,
-                qubits: int | None) -> tuple[Circuit, dict]:
+def _synthesize(source: Path, method: str, opt: list[str],
+                gateset: str) -> tuple[Circuit, dict]:
     started = time.perf_counter()
-    circ = _build_circuit(source, method, qubits)
+    circ = _build_circuit(source, method)
     if opt:
         circ = apply_passes(circ, opt)
     if gateset == "uniform":
@@ -131,13 +129,17 @@ def _method_for(path: Path, method: str | None) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     source = Path(args.source)
     method = _method_for(source, args.method)
-    if args.qubits is not None and method != "amplitude":
-        raise ValueError("--qubits applies to .pmf sources")
+    if args.qubits is not None:
+        if method != "amplitude":
+            raise ValueError("--qubits applies to .pmf sources")
+        bins = len(read_pmf(source.read_text()))
+        if bins != 1 << args.qubits:
+            raise ValueError(f"{source.name} holds {bins} bins, not 2^{args.qubits}")
     opt = _parse_opt(args.opt)
 
     if args.timeout is not None:
         status, payload = _run_cell(source, method, opt, args.gateset,
-                                    args.qubits, args.timeout, want_qasm=True)
+                                    args.timeout, want_qasm=True)
         if status == "timeout":
             print(f"error: synthesis exceeded {args.timeout} s", file=sys.stderr)
             return EXIT_TIMEOUT
@@ -146,8 +148,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             return EXIT_DOMAIN
         qasm_text, report = payload["qasm"], payload["report"]
     else:
-        circ, report = _synthesize(source, method, opt, args.gateset,
-                                   args.qubits)
+        circ, report = _synthesize(source, method, opt, args.gateset)
         qasm_text = emit_qasm(circ, gateset=args.gateset)
 
     out = Path(args.out) if args.out else Path(f"{source.stem}.{method}.qasm")
@@ -206,11 +207,14 @@ def _verify_encoded(circ: Circuit, source: Path, shots: int,
     state = run_statevector(circ)
     measured = circ.measured_qubits()
     dist = state.distribution(measured if measured else None)
-    if dist.size != len(target):
+    if dist.size < len(target):
         raise VerificationFailed(
             f"circuit yields {dist.size} outcomes but the PMF has {len(target)} bins")
-    max_err = float(max(abs(d - t) for d, t in zip(dist, target)))
-    hist = sample(dist, shots, seed=seed)
+    # bits past log2(bins) are ancillas (the uniform lowering's ladder adds
+    # them): bin i belongs in row i, column 0, where every ancilla is 0 again
+    rows = dist.reshape(len(target), -1)
+    max_err = float(max(np.abs(rows[:, 0] - target).max(), rows[:, 1:].max(initial=0.0)))
+    hist = sample(rows.sum(axis=1), shots, seed=seed)
     g, p = g_statistic(hist, target)
     emp = hist.empirical()
     return {
@@ -252,9 +256,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cell_worker(conn, source: str, method: str, opt: list[str],
-                 gateset: str, qubits: int | None, want_qasm: bool) -> None:
+                 gateset: str, want_qasm: bool) -> None:
     try:
-        circ, report = _synthesize(Path(source), method, opt, gateset, qubits)
+        circ, report = _synthesize(Path(source), method, opt, gateset)
         payload = {"report": report}
         if want_qasm:
             payload["qasm"] = emit_qasm(circ, gateset=gateset)
@@ -271,8 +275,7 @@ def _status_of(exc: Exception) -> str:
 
 
 def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
-              qubits: int | None, timeout: float,
-              want_qasm: bool = False) -> tuple[str, dict]:
+              timeout: float, want_qasm: bool = False) -> tuple[str, dict]:
     # The parent reads the result while the child writes it: a payload
     # larger than the pipe buffer blocks the child until it is read, so
     # waiting for the child to exit first would deadlock.
@@ -280,7 +283,7 @@ def _run_cell(source: Path, method: str, opt: list[str], gateset: str,
     reader, writer = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_cell_worker,
-        args=(writer, str(source), method, opt, gateset, qubits, want_qasm))
+        args=(writer, str(source), method, opt, gateset, want_qasm))
     proc.start()
     writer.close()  # so that the reader sees EOF once the child is gone
     try:
@@ -313,7 +316,7 @@ def _bench_cells(paths: list[Path], methods: list[str], opt: list[str],
         for method in methods:
             if method not in allowed:
                 continue
-            status, payload = _run_cell(path, method, opt, gateset, None, timeout)
+            status, payload = _run_cell(path, method, opt, gateset, timeout)
             cell = {"function": path.stem, "method": method, "status": status}
             if status == "ok":
                 cell.update(payload["report"])

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .circuit import Circuit, rx, ry, rz
+from .circuit import Circuit, Gate, rx, rz
 from .errors import (
     DuplicateAddress,
     NotNormalized,
@@ -163,7 +164,7 @@ def angle_tree(pmf: Pmf) -> AngleTree:
     """Build the rotation tree for a PMF (leaves must sum to 1)."""
     probs = tuple(pmf)
     total = math.fsum(probs)
-    if abs(total - 1.0) > PMF_TOLERANCE:
+    if not abs(total - 1.0) <= PMF_TOLERANCE:  # also catches a NaN total
         raise NotNormalized(f"bins sum to {total!r}")
     nq = pmf.num_qubits
     masses = [list(probs)]
@@ -196,15 +197,12 @@ def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
     tree = angle_tree(pmf)
     nq = tree.num_qubits
     gates = []
-    for level in range(nq):
-        for i in range(1 << level):
-            theta = tree.levels[level][i]
-            if prune and theta == 0.0:
-                continue
-            controls = tuple(
-                (q, bool((i >> (level - 1 - q)) & 1)) for q in range(level)
-            )
-            gates.append(ry(2.0 * theta, level, controls))
+    for level, thetas in enumerate(tree.levels):
+        # node i's controls spell i in binary, qubit 0 most significant
+        patterns = itertools.product(*(((q, False), (q, True)) for q in range(level)))
+        gates.extend(Gate("ry", (level,), controls, 2.0 * theta)
+                     for theta, controls in zip(thetas, patterns)
+                     if not (prune and theta == 0.0))
     return Circuit(num_qubits=nq, gates=tuple(gates))
 
 

@@ -85,10 +85,6 @@ class TruthTable:
         values = self.entries.values()
         return len(set(values)) == len(self.entries)
 
-    @property
-    def bijective(self) -> bool:
-        return self.n == self.m and self.complete and self.injective
-
     def as_list(self) -> list[int]:
         """Outputs indexed by input word; the table must be complete."""
         if not self.complete:
@@ -472,8 +468,8 @@ def normalize_pmf(bins, mode: str = "amplitude") -> Pmf:
     heights = [float(b) for b in bins]
     if not heights:
         raise EmptyInput("no bins")
-    if any(h < 0 for h in heights):
-        raise ValueError("bin heights must be non-negative")
+    if not all(0 <= h < math.inf for h in heights):  # also false for NaN
+        raise ValueError("bin heights must be finite and non-negative")
     k = len(heights)
     if k & (k - 1):
         raise NotPowerOfTwo(f"{k} bins is not a power of two")

@@ -9,17 +9,20 @@ shapes their upstream synthesizers produce.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from dataclasses import replace
 
 from .circuit import (
     ROTATION_KINDS,
     Circuit,
     Gate,
     _distinct,
-    _per_gate,
+    _rewrite,
     _x_conjugated,
     cz,
     h,
+    lower_negative_controls,
     rx,
     ry,
     rz,
@@ -59,9 +62,7 @@ def remove_double_x(circuit: Circuit) -> Circuit:
         for q in gate.qubits:
             open_x.pop(q, None)
         out.append(gate)
-    return Circuit(num_qubits=circuit.num_qubits,
-                   gates=tuple(g for g in out if g is not None),
-                   labels=circuit.labels)
+    return replace(circuit, gates=tuple(g for g in out if g is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +110,26 @@ def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
     inverse square root; negative controls are X-conjugated away first.
     """
     if mode == "to_true_toffoli":
-        widths = [g.num_controls for g in circuit.gates
-                  if g.kind == "x" and g.num_controls >= 3]
-        extra = max(widths) - 1 if widths else 0
-        base = circuit.num_qubits
-        out: list[Gate] = []
-        for gate in circuit.gates:
-            if gate.kind == "x" and gate.num_controls >= 3:
-                chain, middle = _ladder(gate, base)
-                compute = [Gate("x", (a,), (c1, c2)) for c1, c2, a in chain]
-                out.extend(compute + [middle] + compute[::-1])
-            else:
-                out.append(gate)
-        labels = circuit.labels
-        if labels and extra:
-            labels = labels + tuple(f"anc{i}" for i in range(extra))
-        return Circuit(num_qubits=base + extra, gates=tuple(out), labels=labels)
+        def ladder(gate: Gate):
+            if gate.kind != "x" or gate.num_controls < 3:
+                return (gate,)
+            chain, middle = _ladder(gate, circuit.num_qubits)
+            compute = [Gate("x", (a,), (c1, c2)) for c1, c2, a in chain]
+            return compute + [middle] + compute[::-1]
+
+        extra = max((g.num_controls - 1 for g in _distinct(circuit.gates)
+                     if g.kind == "x" and g.num_controls >= 3), default=0)
+        return _rewrite(circuit, ladder, extra)
     if mode == "toffoli_to_5gate":
         flips: dict[int, Gate] = {}
-        out = []
-        for gate in circuit.gates:
-            if gate.kind == "x" and gate.num_controls == 2:
-                for g in _x_conjugated(gate, flips):
-                    out.extend(_five_gate(g) if g.num_controls == 2 else (g,))
-            else:
-                out.append(gate)
-        return Circuit(num_qubits=circuit.num_qubits, gates=tuple(out),
-                       labels=circuit.labels)
+
+        def five(gate: Gate):
+            if gate.kind != "x" or gate.num_controls != 2:
+                return (gate,)
+            return [out for g in _x_conjugated(gate, flips)
+                    for out in (_five_gate(g) if g.num_controls == 2 else (g,))]
+
+        return _rewrite(circuit, five)
     raise ValueError(f"unknown decomposition mode {mode!r}")
 
 
@@ -217,6 +211,13 @@ def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gat
     return cancelled
 
 
+def _run_key(gate: Gate):
+    """Gates with equal keys form one run; None for every non-rotation."""
+    if gate.kind not in ROTATION_KINDS:
+        return None
+    return gate.kind, gate.targets, sorted(q for q, _ in gate.controls)
+
+
 def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     """Flatten uniformly controlled rotation runs to single-control form.
 
@@ -234,36 +235,12 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     correctly rounded sums of the O(4^k) sign-system solution.
     """
     out: list[Gate] = []
-    run: list[Gate] = []
-    run_controls: list[int] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        if run_controls:
-            out.extend(_rewrite_run(run, run_controls, strict))
+    for key, run in itertools.groupby(circuit.gates, _run_key):
+        if key and key[2]:
+            out.extend(_rewrite_run(list(run), key[2], strict))
         else:
             out.extend(run)
-        run.clear()
-
-    for gate in circuit.gates:
-        if gate.kind in ROTATION_KINDS:
-            controls = sorted(q for q, _ in gate.controls)
-            if run and (
-                gate.kind != run[0].kind
-                or gate.targets != run[0].targets
-                or controls != run_controls
-            ):
-                flush()
-            if not run:
-                run_controls = controls
-            run.append(gate)
-        else:
-            flush()
-            out.append(gate)
-    flush()
-    return Circuit(num_qubits=circuit.num_qubits, gates=tuple(out),
-                   labels=circuit.labels)
+    return replace(circuit, gates=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +319,9 @@ def _single_control_abc(gate: Gate) -> list[Gate]:
     (c, _), = gate.controls
     t = gate.targets[0]
     kind = gate.kind
-    if kind == "rz":
-        return [rz(gate.angle / 2, t), x(t, (c,)), rz(-gate.angle / 2, t), x(t, (c,))]
-    if kind == "ry":
-        return [ry(gate.angle / 2, t), x(t, (c,)), ry(-gate.angle / 2, t), x(t, (c,))]
+    if kind in ("rz", "ry"):
+        rot = rz if kind == "rz" else ry
+        return [rot(gate.angle / 2, t), x(t, (c,)), rot(-gate.angle / 2, t), x(t, (c,))]
     if kind == "rx":
         return [h(t)] + _single_control_abc(rz(gate.angle, t, (c,))) + [h(t)]
     if kind in ("z", "cz"):
@@ -394,9 +370,7 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     extra = max((g.num_controls - 1 for g in _distinct(circuit.gates)
                  if g.num_controls >= 2
                  and not (g.kind == "x" and g.num_controls == 2)), default=0)
-    base = circuit.num_qubits
     toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
-    flips: dict[int, Gate] = {}
 
     def lower_positive(gate: Gate) -> list[Gate]:
         k = gate.num_controls
@@ -404,7 +378,7 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
             (a, _), (b, _) = gate.controls
             return toffoli(a, b, gate.targets[0])
         if k >= 2:
-            chain, middle = _ladder(gate, base)
+            chain, middle = _ladder(gate, circuit.num_qubits)
             bodies = [toffoli(c1, c2, t) for (c1, _), (c2, _), t in chain]
             return [g for body in bodies for g in body] + lower_positive(middle) + [
                 g for body in reversed(bodies) for g in body]
@@ -412,20 +386,7 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
             return [gate] if gate.kind == "x" else _single_control_abc(gate)
         return _bare_translation(gate)
 
-    def expand(gate: Gate) -> list[Gate]:
-        out: list[Gate] = []
-        for g in _x_conjugated(gate, flips):
-            out.extend(lower_positive(g))
-        return out
-
-    gates: list[Gate] = []
-    for expansion in _per_gate(circuit.gates, expand):
-        gates.extend(expansion)
-
-    labels = circuit.labels
-    if labels and extra:
-        labels = labels + tuple(f"anc{i}" for i in range(extra))
-    return Circuit(num_qubits=base + extra, gates=tuple(gates), labels=labels)
+    return _rewrite(lower_negative_controls(circuit), lower_positive, extra)
 
 
 PASSES = {

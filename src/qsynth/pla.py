@@ -43,10 +43,6 @@ class PlaTable:
             if not set(ins) <= _INPUT_SYMBOLS or not set(outs) <= _OUTPUT_SYMBOLS:
                 raise BadCube(f"cube {ins} {outs} contains symbols outside 0/1/-")
 
-    @property
-    def num_products(self) -> int:
-        return len(self.rows)
-
 
 def _check_conflicts(rows: tuple[tuple[str, str], ...]) -> None:
     """Reject fully specified rows that disagree on a specified output bit."""

@@ -66,7 +66,7 @@ _BASE_DEFS: dict[str, tuple[str, tuple[str, ...]]] = {
     ),
 }
 
-_MC_FAMILIES = ("u1", "x", "z", "rz", "rx", "ry", "h", "sx", "sxdg")
+_MC_RE = re.compile(r"mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)")  # every family with mc names
 
 
 def _mc_name(family: str, k: int) -> str:
@@ -74,11 +74,20 @@ def _mc_name(family: str, k: int) -> str:
     if k == 0:
         return family
     if k == 1:
-        return {"x": "cx", "z": "cz", "u1": "cu1", "rz": "crz", "rx": "crx",
-                "ry": "cry", "h": "ch", "sx": "csx", "sxdg": "csxdg"}[family]
+        return "c" + family
     if family == "x" and k == 2:
         return "ccx"
     return f"mc{family}_{k}"
+
+
+# family: (gate before, inner family, inner argument, gate after); the
+# gates before and after act on the target, the inner one has k controls
+_MC_FRAMES = {
+    "x": ("h", "u1", "(pi)", "h"),
+    "z": ("h", "x", "", "h"),
+    "rx": ("h", "rz", "(theta)", "h"),
+    "h": ("ry(-pi/4)", "z", "", "ry(pi/4)"),
+}
 
 
 def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
@@ -87,47 +96,21 @@ def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
     args = ",".join(cs + ["t"])
     name = _mc_name(family, k)
     sub_x = _mc_name("x", k - 1)
-    if family == "u1":
-        tail = _mc_name("u1", k - 1)
+    if family in ("u1", "rz", "ry"):
+        p = "lambda" if family == "u1" else "theta"
+        base, tail = _mc_name(family, 1), _mc_name(family, k - 1)
         body = (
-            f"cu1(lambda/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
-            f"cu1(-lambda/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
-            f"{tail}(lambda/2) {','.join(cs[:-1])},t;"
+            f"{base}({p}/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
+            f"{base}(-{p}/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
+            f"{tail}({p}/2) {','.join(cs[:-1])},t;"
         )
-        return f"gate {name}(lambda) {args} {{ {body} }}", ("cu1", sub_x, tail)
-    if family == "x":
-        inner = _mc_name("u1", k)
-        return (
-            f"gate {name} {args} {{ h t; {inner}(pi) {args}; h t; }}",
-            ("h", inner),
-        )
-    if family == "z":
-        inner = _mc_name("x", k)
-        return (
-            f"gate {name} {args} {{ h t; {inner} {args}; h t; }}",
-            ("h", inner),
-        )
-    if family in ("rz", "ry"):
-        base = _mc_name(family, 1)
-        tail = _mc_name(family, k - 1)
-        body = (
-            f"{base}(theta/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
-            f"{base}(-theta/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
-            f"{tail}(theta/2) {','.join(cs[:-1])},t;"
-        )
-        return f"gate {name}(theta) {args} {{ {body} }}", (base, sub_x, tail)
-    if family == "rx":
-        inner = _mc_name("rz", k)
-        return (
-            f"gate {name}(theta) {args} {{ h t; {inner}(theta) {args}; h t; }}",
-            ("h", inner),
-        )
-    if family == "h":
-        inner = _mc_name("z", k)
-        return (
-            f"gate {name} {args} {{ ry(-pi/4) t; {inner} {args}; ry(pi/4) t; }}",
-            ("ry", inner),
-        )
+        return f"gate {name}({p}) {args} {{ {body} }}", (base, sub_x, tail)
+    if family in _MC_FRAMES:
+        before, inner, arg, after = _MC_FRAMES[family]
+        inner = _mc_name(inner, k)
+        param = arg if arg == "(theta)" else ""
+        body = f"{before} t; {inner}{arg} {args}; {after} t;"
+        return f"gate {name}{param} {args} {{ {body} }}", (before.split("(")[0], inner)
     if family in ("sx", "sxdg"):
         sign = "" if family == "sx" else "-"
         phase = _mc_name("u1", k - 1)
@@ -143,8 +126,8 @@ def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
 def _definition(name: str) -> tuple[str, tuple[str, ...]]:
     if name in _BASE_DEFS:
         return _BASE_DEFS[name]
-    m = re.fullmatch(r"mc([a-z0-9]+)_(\d+)", name)
-    if not m or m.group(1) not in _MC_FAMILIES:
+    m = _MC_RE.fullmatch(name)
+    if not m:
         raise ValueError(f"unknown gate name {name!r}")
     return _mc_def(m.group(1), int(m.group(2)))
 
@@ -174,7 +157,7 @@ _BASE_ORDER = list(_BASE_DEFS)
 def _def_sort_key(name: str):
     if name in _BASE_DEFS:
         return (0, _BASE_ORDER.index(name), "")
-    m = re.fullmatch(r"mc([a-z0-9]+)_(\d+)", name)
+    m = _MC_RE.fullmatch(name)
     return (1, int(m.group(2)), m.group(1))
 
 
@@ -256,9 +239,7 @@ _APP_RE = re.compile(
     r"(?P<args>q\[\d+\](?:\s*,\s*q\[\d+\])*)$"
 )
 _MEASURE_RE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]$")
-_QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]$")
-_CREG_RE = re.compile(r"^creg\s+c\[(\d+)\]$")
-_MC_RE = re.compile(r"^mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)$")
+_REG_RE = re.compile(r"^([qc])reg\s+\1\[(\d+)\]$")  # qreg q[n] or creg c[n]
 _OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _DEF_RE = re.compile(r"gate\s+[A-Za-z_][A-Za-z0-9_]*[^{]*\{[^}]*\}")
 
@@ -314,8 +295,9 @@ def parse_qasm(text: str) -> Circuit:
 
     Gate definitions are skipped (names are resolved from a fixed table),
     so parsing never expands macro bodies.  Statements outside the
-    emitter's repertoire raise UnsupportedStatement.  Repeated statements
-    share one Gate instance.
+    emitter's repertoire raise UnsupportedStatement, and so does a j-th
+    measurement that writes anything but bit j of the one declared creg.
+    Repeated statements share one Gate instance.
     """
     labels: tuple[str, ...] = ()
     stripped: list[str] = []
@@ -337,23 +319,29 @@ def parse_qasm(text: str) -> Circuit:
     if not statements or statements[0] != "OPENQASM 2.0":
         raise UnsupportedStatement("file must start with OPENQASM 2.0;")
 
-    num_qubits: int | None = None
+    size: dict[str, int] = {}  # register ("q" or "c") -> declared size
+    measured = 0
     gates: list[Gate] = []
     gate_of: dict[str, Gate] = {}  # a repeated statement yields one shared Gate
     for stmt in statements[1:]:
         gate = gate_of.get(stmt)
         if gate is None:
-            m = _QREG_RE.fullmatch(stmt)
+            m = _REG_RE.fullmatch(stmt)
             if m:
-                if num_qubits is not None:
-                    raise UnsupportedStatement("multiple qreg declarations")
-                num_qubits = int(m.group(1))
-                continue
-            if _CREG_RE.fullmatch(stmt):
+                if m.group(1) in size:
+                    raise UnsupportedStatement(f"multiple {m.group(1)}reg declarations")
+                size[m.group(1)] = int(m.group(2))
                 continue
             gate = gate_of[stmt] = _parse_application(stmt)
+        if gate.kind == "measure":  # the distribution reads measurement j as bit j
+            clbit = int(_MEASURE_RE.fullmatch(stmt).group(2))
+            if clbit != measured or measured >= size.get("c", 0):
+                raise UnsupportedStatement(
+                    f"measurement {measured} must write c[{measured}] of the one creg, "
+                    f"not c[{clbit}]")
+            measured += 1
         gates.append(gate)
 
-    if num_qubits is None:
+    if "q" not in size:
         raise UnsupportedStatement("missing qreg declaration")
-    return Circuit(num_qubits=num_qubits, gates=tuple(gates), labels=labels)
+    return Circuit(num_qubits=size["q"], gates=tuple(gates), labels=labels)

@@ -105,6 +105,13 @@ class TestSynth:
         assert run_synth(pmf_file, out, "--qubits", "3") == 4
         assert "bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("height", ["nan", "inf"])
+    def test_non_finite_height(self, tmp_path, height, capsys):
+        source = tmp_path / "bad.pmf"
+        source.write_text(f"1\n{height}\n")
+        assert run_synth(source, tmp_path / "bad.qasm") == 4
+        assert "finite" in capsys.readouterr().err
+
     def test_qubits_rejected_for_pla(self, tmp_path, capsys):
         out = tmp_path / "squar5.qasm"
         assert run_synth(bench_path("squar5.pla"), out, "--method", "esop",
@@ -306,6 +313,29 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["mismatches"] == report["rows_checked"] == 32
 
+    def test_uniform_amplitude_ancillas(self, tmp_path, capsys):
+        # the uniform lowering's ladder adds 3 ancillas to bimodal's 5
+        # qubits; they start and must end at 0
+        source = bench_path("bimodal.pmf")
+        out = tmp_path / "bimodal.qasm"
+        assert run_synth(source, out, "--gateset", "uniform") == 0
+        assert parse_qasm(out.read_text()).num_qubits == 8
+        capsys.readouterr()
+        assert main(["verify", str(out), str(source)]) == 0
+        assert json.loads(capsys.readouterr().out)["max_abs_error"] <= 1e-9
+
+    def test_amplitude_dirty_ancilla_fails(self, tmp_path, capsys):
+        source = bench_path("bimodal.pmf")
+        out = tmp_path / "bimodal.qasm"
+        run_synth(source, out, "--gateset", "uniform")
+        capsys.readouterr()
+        out.write_text(out.read_text() + "x q[7];\n")
+        assert main(["verify", str(out), str(source)]) == 3
+        # every bin's probability sits on a row whose ancilla is 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_abs_error"] == pytest.approx(
+            max(cli.normalize_pmf(cli.read_pmf(source.read_text()), "probability")))
+
     def test_amplitude_report(self, pmf_file, tmp_path, capsys):
         out = tmp_path / "amp.qasm"
         run_synth(pmf_file, out)
@@ -411,6 +441,15 @@ class TestBench:
         (cell,) = json.loads(capsys.readouterr().out)["cells"]
         assert cell["status"] == "unsupported"
         assert cell["error"] and cell["detail"]
+
+    def test_non_finite_pmf_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pmf"
+        bad.write_text("1\ninf\n")
+        code = main(["bench", "--functions", str(bad), "--methods", "amplitude",
+                     "--report", "json"])
+        assert code == 1
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert (cell["status"], cell["error"]) == ("unsupported", "ValueError")
 
     def test_crashed_cell(self, pla_file, monkeypatch, capsys):
         def boom(*args):

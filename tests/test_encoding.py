@@ -144,6 +144,8 @@ class TestAngleTree:
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
             angle_tree(Pmf(probs=(0.5, 0.4)))
+        with pytest.raises(NotNormalized):
+            angle_tree(Pmf(probs=(0.5, math.nan)))
 
     def test_zero_subtree_angle_is_zero(self):
         tree = angle_tree(Pmf(probs=(0.5, 0.5, 0.0, 0.0)))

@@ -404,3 +404,10 @@ def test_normalize_pmf_rejects_negative_and_zero_sum():
         normalize_pmf([1, -1], mode="probability")
     with pytest.raises(AllZero):
         normalize_pmf([0, 0], mode="probability")
+
+
+@pytest.mark.parametrize("mode", ["probability", "amplitude"])
+@pytest.mark.parametrize("height", [math.nan, math.inf])
+def test_normalize_pmf_rejects_non_finite(mode, height):
+    with pytest.raises(ValueError, match="finite"):
+        normalize_pmf([1.0, height], mode=mode)

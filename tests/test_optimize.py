@@ -143,6 +143,18 @@ class TestFiveGate:
             decompose_mcx(circuit(1, x(0)), "fanout")
 
 
+@pytest.mark.parametrize("mode, gate", [
+    ("to_true_toffoli", x(4, (0, 1, 2, 3))),
+    ("toffoli_to_5gate", Gate("x", (2,), ((0, False), (1, True)))),
+])
+def test_decompose_mcx_repeats_one_expansion(mode, gate):
+    circ = circuit(5, gate, h(4), gate)
+    low = decompose_mcx(circ, mode)
+    half = len(low.gates) // 2
+    assert low.gates[half] is circ.gates[1]
+    assert all(a is b for a, b in zip(low.gates[:half], low.gates[half + 1:], strict=True))
+
+
 def uc_run(kind, target, controls, angles):
     """One rotation per control pattern, all patterns covered."""
     assert len(angles) == 1 << len(controls)

@@ -171,6 +171,24 @@ class TestParse:
         with pytest.raises(UnsupportedStatement, match="parameter"):
             parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz q[0];\n")
 
+    @pytest.mark.parametrize("tail", [
+        # bits swapped: the distribution would read q[1] as its first bit
+        "creg c[2];\nmeasure q[0] -> c[1];\nmeasure q[1] -> c[0];\n",
+        # a second bit past the one-bit creg
+        "creg c[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n",
+        # a repeated statement is cached by its text but checked again
+        "creg c[2];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[0];\n",
+        # no creg at all
+        "measure q[0] -> c[0];\n",
+    ])
+    def test_measurement_writes_its_own_bit(self, tail):
+        with pytest.raises(UnsupportedStatement, match="measurement"):
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\n" + tail)
+
+    def test_multiple_creg(self):
+        with pytest.raises(UnsupportedStatement, match="multiple creg"):
+            parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\ncreg c[1];\n")
+
 
 class TestByteStability:
     def cases(self, rng):

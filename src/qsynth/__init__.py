@@ -30,7 +30,7 @@ from .encoding import (
     synth_basis,
 )
 from .errors import QsynthError
-from .esop import EsopSpec, evaluate_esop, synth_esop, to_esop
+from .esop import EsopSpec, evaluate_esop, evaluate_esop_table, synth_esop, to_esop
 from .funcprep import (
     Pmf,
     RttResult,
@@ -105,6 +105,7 @@ __all__ = [
     "depth",
     "emit_qasm",
     "evaluate_esop",
+    "evaluate_esop_table",
     "expand",
     "g_statistic",
     "graycode_optimize",

@@ -5,8 +5,9 @@ Three subcommands share one synthesis core:
 * ``synth`` compiles a single .pla or .pmf file to OpenQASM plus a JSON
   metrics sidecar.
 * ``verify`` replays an emitted circuit against its source file, either
-  as a truth-table check (classical methods) or as distribution metrics
-  (amplitude encoding).
+  as a truth-table check (classical methods; the esop reference words
+  come from one bit-sliced pass over the cubes) or as distribution
+  metrics (amplitude encoding).
 * ``bench`` runs a function x method grid, each cell in its own child
   process with a wall-clock timeout, and reports a CSV or JSON table.
 
@@ -30,7 +31,7 @@ import numpy as np
 from .circuit import Circuit, lower_negative_controls, metrics
 from .encoding import qrng_pipeline, qrom_pipeline, read_pmf
 from .errors import QsynthError, SizeLimitExceeded, VerificationFailed
-from .esop import evaluate_esop, synth_esop, to_esop
+from .esop import evaluate_esop_table, synth_esop, to_esop
 from .funcprep import assign_dont_cares, expand, normalize_pmf, prepare_bijection, to_truth_table
 from .optimize import PASSES, apply_passes, lower_to_uniform
 from .pla import parse_pla
@@ -175,8 +176,8 @@ def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
         width, m = table.n + table.m, table.m
         if method == "esop":
             spec = to_esop(table)
-            minterms = {int(ins, 2) for ins, _ in expand(table).rows}
-            outputs = {a: evaluate_esop(spec, a) for a in minterms}
+            minterms = list({int(ins, 2) for ins, _ in expand(table).rows})
+            outputs = dict(zip(minterms, evaluate_esop_table(spec, minterms)))
         else:
             outputs = to_truth_table(assign_dont_cares(expand(table))).entries
         expected = {a << m: (a << m) | y for a, y in outputs.items()}
@@ -189,13 +190,12 @@ def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
     results = run_reversible_table(circ, [x << ancillas for x in expected])
     mismatches = sum(
         1 for x, got in zip(expected, results) if got != expected[x] << ancillas)
-    rows_checked = len(expected)
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": "classical",
         "method": method,
         "source": source.name,
-        "rows_checked": rows_checked,
+        "rows_checked": len(expected),
         "mismatches": mismatches,
         "verified": mismatches == 0,
     }
@@ -329,17 +329,15 @@ def _bench_cells(paths: list[Path], methods: list[str], opt: list[str],
 
 
 def _bench_csv(cells: list[dict]) -> str:
-    lines = [",".join(_CSV_FIELDS)]
-    for cell in cells:
-        lines.append(",".join(str(cell.get(field, "")) for field in _CSV_FIELDS))
-    return "\n".join(lines) + "\n"
+    rows = [_CSV_FIELDS] + [[str(cell.get(field, "")) for field in _CSV_FIELDS] for cell in cells]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.functions:
         paths = [Path(part.strip()) for part in args.functions.split(",") if part.strip()]
     else:
-        root = Path(args.dir) if args.dir else _default_bench_dir()
+        root = Path(args.dir) if args.dir else Path(__file__).resolve().parent / "benchmarks"
         paths = sorted(root.glob("*.pla")) + sorted(root.glob("*.pmf"))
     if not paths:
         raise ValueError("no benchmark inputs found")
@@ -360,10 +358,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text)
     print(text, end="")
     return EXIT_OK if all(cell["status"] == "ok" for cell in cells) else EXIT_CELLS
-
-
-def _default_bench_dir() -> Path:
-    return Path(__file__).resolve().parent / "benchmarks"
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +412,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationFailed as exc:
-        print(f"error: VerificationFailed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except QsynthError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_VERIFY if isinstance(exc, VerificationFailed) else EXIT_DOMAIN
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -12,6 +12,9 @@ one X gate targeting that output qubit, with a positive control per
 input 1, a negative control per input 0, and no control for a dash.
 Input qubits are never targeted, so inputs pass through unchanged and
 outputs accumulate f(x) by parity.
+
+Evaluation is bit-sliced (evaluate_esop_table), one AND/XOR pass per cube
+over every input word; ``qsynth verify`` takes its esop reference from it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate
 from .errors import WidthMismatch
 from .pla import PlaTable
+from .simulate import _bit_columns, _words_of
 
 
 @dataclass(frozen=True)
@@ -54,16 +58,10 @@ def _intersect(a: str, b: str) -> str | None:
 
 def _overlapping_pairs(cubes) -> list[tuple[int, int]]:
     """Index pairs whose input fields intersect and whose outputs share a 1."""
-    found = []
-    for i in range(len(cubes)):
-        ins_a, outs_a = cubes[i]
-        for j in range(i + 1, len(cubes)):
-            ins_b, outs_b = cubes[j]
-            if _intersect(ins_a, ins_b) is None:
-                continue
-            if any(a == "1" and b == "1" for a, b in zip(outs_a, outs_b)):
-                found.append((i, j))
-    return found
+    return [(i, j) for i, (ins_a, outs_a) in enumerate(cubes)
+            for j, (ins_b, outs_b) in enumerate(cubes[i + 1:], i + 1)
+            if _intersect(ins_a, ins_b) is not None
+            and any(a == b == "1" for a, b in zip(outs_a, outs_b))]
 
 
 def _cover_to_xor(cubes: list[tuple[str, str]], n: int, m: int) -> list[tuple[str, str]]:
@@ -171,20 +169,33 @@ def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) ->
 
 
 def evaluate_esop(spec: EsopSpec, x: int) -> int:
-    """XOR evaluation of the cube list on one input word."""
-    result = 0
+    """XOR evaluation of the cube list on one input word; see evaluate_esop_table."""
+    return evaluate_esop_table(spec, [x])[0]
+
+
+def evaluate_esop_table(spec: EsopSpec, words) -> list[int]:
+    """XOR evaluation of the cube list on every word of ``words``.
+
+    Bit-sliced like simulate.run_reversible_table: a cube ANDs each literal's
+    input column (or its complement, for a 0) into one match mask over all
+    words, and XORs that mask into the column of each hot output bit.
+    """
+    words = list(words)
+    if words and (min(words) < 0 or max(words) >> spec.n):
+        raise ValueError(f"an input word does not fit in {spec.n} bits")
+    rows = len(words)
+    every = (1 << rows) - 1
+    columns = _bit_columns(words, spec.n)
+    outputs = [0] * spec.m
     for ins, outs in spec.cubes:
-        match = True
+        match = every
         for j, c in enumerate(ins):
-            if c == "-":
-                continue
-            bit = (x >> (spec.n - 1 - j)) & 1
-            if bit != int(c):
-                match = False
-                break
-        if match:
-            result ^= int(outs, 2)
-    return result
+            if c != "-":
+                match &= columns[j] if c == "1" else ~columns[j]
+        for k, bit in enumerate(outs):
+            if bit == "1":
+                outputs[k] ^= match
+    return _words_of(outputs, rows)
 
 
 def synth_esop(spec: EsopSpec) -> Circuit:

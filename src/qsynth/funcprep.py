@@ -14,6 +14,7 @@ distribution normalizations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -108,15 +109,12 @@ def expand(table: PlaTable) -> PlaTable:
 
     rows: list[tuple[str, str]] = []
     for ins, outs in table.rows:
-        positions = [i for i, c in enumerate(ins) if c == "-"]
-        if not positions:
+        if "-" not in ins:
             rows.append((ins, outs))
             continue
-        chars = list(ins)
-        for assignment in range(1 << len(positions)):
-            for j, pos in enumerate(positions):
-                chars[pos] = "1" if (assignment >> (len(positions) - 1 - j)) & 1 else "0"
-            rows.append(("".join(chars), outs))
+        template = ins.replace("-", "{}")  # each dash 0 then 1, the first most significant
+        rows.extend((template.format(*bits), outs)
+                    for bits in itertools.product("01", repeat=ins.count("-")))
     return PlaTable(n=table.n, m=table.m, rows=tuple(rows), type_tag=table.type_tag)
 
 
@@ -479,7 +477,12 @@ def normalize_pmf(bins, mode: str = "amplitude") -> Pmf:
         weights = heights
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose exact sum is past the float range
+        total = math.inf
+    if total == math.inf:  # also a height whose square overflows
+        raise ValueError("bin heights are too large: their total overflows a float")
     if total == 0.0:
         raise AllZero("all bins are zero")
     probs = [wt / total for wt in weights]

@@ -13,12 +13,13 @@ import qsynth
 from qsynth import cli
 from qsynth.circuit import lower_negative_controls
 from qsynth.cli import main
-from qsynth.esop import EsopSpec, synth_esop
+from qsynth.esop import EsopSpec, synth_esop, to_esop
 from qsynth.funcprep import assign_dont_cares, expand, to_truth_table
 from qsynth.pla import parse_pla
 from qsynth.qasm import parse_qasm
 
 from conftest import BENCH_DIR, bench_path
+from test_esop import reference_evaluate
 
 PLA = """.i 3
 .o 2
@@ -111,6 +112,13 @@ class TestSynth:
         source.write_text(f"1\n{height}\n")
         assert run_synth(source, tmp_path / "bad.qasm") == 4
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_heights(self, tmp_path, capsys):
+        # each height is finite, their sum is not
+        source = tmp_path / "huge.pmf"
+        source.write_text("1e308\n1e308\n")
+        assert run_synth(source, tmp_path / "huge.qasm") == 4
+        assert "overflows" in capsys.readouterr().err
 
     def test_qubits_rejected_for_pla(self, tmp_path, capsys):
         out = tmp_path / "squar5.qasm"
@@ -313,6 +321,41 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["mismatches"] == report["rows_checked"] == 32
 
+    # rows_checked is the number of distinct minterms of the expanded table
+    ESOP_ROWS = {"Z5xp1": 128, "Z9sym": 420, "addm4": 512, "apex4": 512, "b11": 256,
+                 "clip": 512, "dist": 256, "ex5": 256, "f51m": 256, "inc": 128,
+                 "mlp4": 256, "squar5": 32}
+
+    @pytest.mark.parametrize("name", sorted(ESOP_ROWS))
+    def test_esop_every_packaged_pla(self, tmp_path, name, capsys):
+        assert self.synth_and_verify(bench_path(f"{name}.pla"), "esop", tmp_path) == 0
+        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert (report["rows_checked"], report["mismatches"]) == (self.ESOP_ROWS[name], 0)
+
+    def test_dropped_gate_past_first_machine_word(self, tmp_path, capsys):
+        # clip: 512 rows over 9 inputs, so each bit-sliced column spans
+        # eight 64-bit words; the last gate fires on row 511 only
+        source = bench_path("clip.pla")
+        out = tmp_path / "clip.qasm"
+        assert run_synth(source, out, "--method", "esop") == 0
+        spec = to_esop(parse_pla(source.read_text()))
+        ins, outs = spec.cubes[-1]
+        k = outs.rindex("1")
+        lines = out.read_text().splitlines(keepends=True)
+        qubits = ",".join(f"q[{q}]" for q in (*range(9), 9 + k))
+        assert (ins, lines[-1]) == ("111111111", f"mcx_9 {qubits};\n")
+        out.write_text("".join(lines[:-1]))
+        dropped = EsopSpec(n=spec.n, m=spec.m, cubes=spec.cubes[:-1] + (
+            (ins, outs[:k] + "0" + outs[k + 1:]),))
+        minterms = {int(row, 2) for row, _ in expand(parse_pla(source.read_text())).rows}
+        predicted = sum(reference_evaluate(spec, a) != reference_evaluate(dropped, a)
+                        for a in minterms)
+        capsys.readouterr()
+        assert main(["verify", str(out), str(source), "--method", "esop"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rows_checked"], report["mismatches"]) == (512, predicted)
+        assert predicted == 1
+
     def test_uniform_amplitude_ancillas(self, tmp_path, capsys):
         # the uniform lowering's ladder adds 3 ancillas to bimodal's 5
         # qubits; they start and must end at 0
@@ -446,6 +489,15 @@ class TestBench:
         bad = tmp_path / "bad.pmf"
         bad.write_text("1\ninf\n")
         code = main(["bench", "--functions", str(bad), "--methods", "amplitude",
+                     "--report", "json"])
+        assert code == 1
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert (cell["status"], cell["error"]) == ("unsupported", "ValueError")
+
+    def test_overflowing_pmf_cell(self, tmp_path, capsys):
+        huge = tmp_path / "huge.pmf"
+        huge.write_text("1e308\n1e308\n")
+        code = main(["bench", "--functions", str(huge), "--methods", "amplitude",
                      "--report", "json"])
         assert code == 1
         (cell,) = json.loads(capsys.readouterr().out)["cells"]

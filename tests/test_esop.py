@@ -1,9 +1,11 @@
 """Exclusive-cover construction and its direct circuit mapping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.errors import WidthMismatch
-from qsynth.esop import EsopSpec, evaluate_esop, synth_esop, to_esop
+from qsynth.esop import EsopSpec, evaluate_esop, evaluate_esop_table, synth_esop, to_esop
 from qsynth.pla import PlaTable
 from qsynth.simulate import run_reversible, run_reversible_table
 
@@ -23,6 +25,40 @@ def brute_force(tbl):
                 acc |= int(outs, 2)
         out[x] = acc
     return out
+
+
+def reference_evaluate(spec: EsopSpec, x: int) -> int:
+    """The per-row evaluation that evaluate_esop_table replaced, kept verbatim."""
+    result = 0
+    for ins, outs in spec.cubes:
+        match = True
+        for j, c in enumerate(ins):
+            if c == "-":
+                continue
+            bit = (x >> (spec.n - 1 - j)) & 1
+            if bit != int(c):
+                match = False
+                break
+        if match:
+            result ^= int(outs, 2)
+    return result
+
+
+@st.composite
+def specs_and_words(draw):
+    """A random spec (dashes, duplicate cubes, maybe no cubes) and word list."""
+    n = draw(st.integers(0, 9))  # 2^9 rows: columns cross 64-bit words
+    m = draw(st.integers(1, 4))
+    cube = st.tuples(st.text("01-", min_size=n, max_size=n),
+                     st.text("01", min_size=m, max_size=m))
+    cubes = draw(st.lists(cube, max_size=12))
+    cubes += draw(st.lists(st.sampled_from(cubes), max_size=4)) if cubes else []
+    word = st.integers(0, (1 << n) - 1)
+    words = draw(st.one_of(
+        st.just(list(range(1 << n))),
+        st.lists(word, max_size=200),  # unsorted and repeated
+        st.lists(word, min_size=1, max_size=20).map(lambda w: w * 8)))
+    return EsopSpec(n=n, m=m, cubes=tuple(draw(st.permutations(cubes)))), words
 
 
 def random_table(rng, n, m, cubes):
@@ -140,6 +176,23 @@ class TestEvaluate:
             oracle = brute_force(tbl)
             for x in range(1 << n):
                 assert evaluate_esop(spec, x) == oracle[x]
+
+
+class TestEvaluateTable:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=specs_and_words())
+    def test_matches_per_row_reference(self, case):
+        spec, words = case
+        assert evaluate_esop_table(spec, words) == [reference_evaluate(spec, x) for x in words]
+
+    @pytest.mark.parametrize("word", [-1, 0b1000])
+    def test_word_wider_than_inputs_rejected(self, word):
+        # the per-row loop read only the low n bits of such a word
+        spec = EsopSpec(n=3, m=1, cubes=(("1--", "1"),))
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            evaluate_esop_table(spec, [0, word])
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            evaluate_esop(spec, word)
 
 
 class TestSynth:

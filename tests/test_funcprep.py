@@ -411,3 +411,23 @@ def test_normalize_pmf_rejects_negative_and_zero_sum():
 def test_normalize_pmf_rejects_non_finite(mode, height):
     with pytest.raises(ValueError, match="finite"):
         normalize_pmf([1.0, height], mode=mode)
+
+
+@pytest.mark.parametrize("mode, heights", [
+    ("probability", [1e308, 1e308]),  # the exact sum is past the float range
+    ("amplitude", [1e200, 1.0]),      # the square is
+])
+def test_normalize_pmf_rejects_overflowing_total(mode, heights):
+    with pytest.raises(ValueError, match="overflows"):
+        normalize_pmf(heights, mode=mode)
+
+
+@pytest.mark.parametrize("mode, heights", [
+    ("probability", [1e308, 7e307]),
+    ("amplitude", [1e154, 3e153, 1.0, 0.0]),
+])
+def test_normalize_pmf_large_heights_in_range(mode, heights):
+    # no rescaling: each probability is its weight over the exact sum
+    weights = [h * h for h in heights] if mode == "amplitude" else heights
+    total = math.fsum(weights)
+    assert normalize_pmf(heights, mode=mode).probs == tuple(w / total for w in weights)

@@ -2,9 +2,10 @@
 
 A circuit is an ordered, immutable list of gates over a fixed number of
 qubits.  Gates carry an optional set of controls; each control is a
-(qubit, positive) pair, where a negative control fires on |0> and is
-equivalent to sandwiching the gate between X gates on that qubit.
-Rotation kinds carry an angle in radians; no other kind does.
+(qubit, positive) pair, where a negative control fires on |0>;
+``lower_negative_controls`` makes it positive through an X frame that
+emits an X only where a qubit's polarity changes.  Rotation kinds carry
+an angle in radians; no other kind does.
 """
 
 from __future__ import annotations
@@ -246,29 +247,33 @@ def metrics(circuit: Circuit) -> Metrics:
 
 
 def lower_negative_controls(circuit: Circuit) -> Circuit:
-    """Rewrite negative controls as X-conjugated positive controls.
+    """Make every control positive through one X frame bit per qubit.
 
-    Idempotent: a circuit with only positive controls comes back unchanged
-    (same object).
+    An X goes on a qubit only where its frame bit (an X owed to it)
+    differs from what the next gate needs: set under a negative control,
+    clear under a positive one or under a target of a kind other than X
+    (X commutes with the frame), and clear at the end.  Each qubit's X
+    and each distinct input gate's positive copy are one shared object.
+    Idempotent: a circuit with only positive controls comes back as the
+    same object.
     """
     if all(pos for g in _distinct(circuit.gates) for _, pos in g.controls):
         return circuit
-    flips: dict[int, Gate] = {}
-    return _rewrite(circuit, lambda g: _x_conjugated(g, flips))
+    flips = [x(q) for q in range(circuit.num_qubits)]
+    frame = [False] * circuit.num_qubits
+    out: list[Gate] = []
 
+    def step(gate: Gate):
+        needs = ([(q, not pos) for q, pos in gate.controls]
+                 + [(q, False) for q in gate.targets if gate.kind != "x"])
+        positive = tuple((q, True) for q, _ in gate.controls)
+        return needs, gate if positive == gate.controls else replace(gate, controls=positive)
 
-def _x_conjugated(gate: Gate, flips: dict[int, Gate]) -> tuple[Gate, ...]:
-    """``gate`` with its negative controls made positive between X gates.
-
-    ``flips`` caches the bare X gate per qubit, so every conjugation of
-    one qubit shares one Gate object.
-    """
-    negatives = [q for q, pos in gate.controls if not pos]
-    if not negatives:
-        return (gate,)
-    for q in negatives:
-        if q not in flips:
-            flips[q] = x(q)
-    xs = [flips[q] for q in negatives]
-    positive = replace(gate, controls=tuple((q, True) for q, _ in gate.controls))
-    return (*xs, positive, *reversed(xs))
+    for needs, gate in _per_gate(circuit.gates, step):
+        for q, bit in needs:
+            if frame[q] != bit:
+                frame[q] = bit
+                out.append(flips[q])
+        out.append(gate)
+    out += [flips[q] for q in range(circuit.num_qubits) if frame[q]]
+    return replace(circuit, gates=tuple(out))

@@ -83,10 +83,8 @@ def _synthesize(source: Path, method: str, opt: list[str],
     circ = _build_circuit(source, method)
     if opt:
         circ = apply_passes(circ, opt)
-    if gateset == "uniform":
-        circ = lower_to_uniform(circ)
-    else:
-        circ = lower_negative_controls(circ)
+    ir_gate_count = circ.gate_count
+    circ = lower_to_uniform(circ) if gateset == "uniform" else lower_negative_controls(circ)
     elapsed_us = round((time.perf_counter() - started) * 1e6)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -95,6 +93,7 @@ def _synthesize(source: Path, method: str, opt: list[str],
         "gateset": gateset,
         "opt": list(opt),
         "synth_time_us": elapsed_us,
+        "ir_gate_count": ir_gate_count,
     }
     report.update(metrics(circ).as_dict())
     return circ, report

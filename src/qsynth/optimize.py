@@ -19,7 +19,6 @@ from .circuit import (
     Gate,
     _distinct,
     _rewrite,
-    _x_conjugated,
     cz,
     h,
     lower_negative_controls,
@@ -88,7 +87,9 @@ def _ladder(gate: Gate, first_ancilla: int) -> tuple[list[tuple], Gate]:
 
 
 def _five_gate(gate: Gate) -> list[Gate]:
-    """Exact five-gate form of a positive-control Toffoli (V = sqrt of X)."""
+    """Exact five-gate form of a positive Toffoli (V = sqrt of X); others pass."""
+    if gate.kind != "x" or gate.num_controls != 2:
+        return [gate]
     (a, _), (b, _) = gate.controls
     t = gate.targets[0]
     return [
@@ -107,7 +108,8 @@ def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
     chain of two-control Toffolis over freshly appended shared ancillas
     (all returned to 0).  ``toffoli_to_5gate`` rewrites every two-control
     X as two CX plus two controlled square-root-of-X and one controlled
-    inverse square root; negative controls are X-conjugated away first.
+    inverse square root, after ``lower_negative_controls`` has made every
+    control positive.
     """
     if mode == "to_true_toffoli":
         def ladder(gate: Gate):
@@ -121,15 +123,7 @@ def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
                      if g.kind == "x" and g.num_controls >= 3), default=0)
         return _rewrite(circuit, ladder, extra)
     if mode == "toffoli_to_5gate":
-        flips: dict[int, Gate] = {}
-
-        def five(gate: Gate):
-            if gate.kind != "x" or gate.num_controls != 2:
-                return (gate,)
-            return [out for g in _x_conjugated(gate, flips)
-                    for out in (_five_gate(g) if g.num_controls == 2 else (g,))]
-
-        return _rewrite(circuit, five)
+        return _rewrite(lower_negative_controls(circuit), _five_gate)
     raise ValueError(f"unknown decomposition mode {mode!r}")
 
 
@@ -355,11 +349,12 @@ def _bare_translation(gate: Gate) -> list[Gate]:
 def lower_to_uniform(circuit: Circuit) -> Circuit:
     """Rewrite to {rx, ry, rz, cx, x, h, measure}, up to global phase.
 
-    Negative controls are X-conjugated away, many-controlled gates go
-    through the Toffoli chain (with shared appended ancillas), Toffolis
-    become the standard CX/RZ/H block, remaining single-controlled gates
-    are conjugated down to controlled-RZ form, and leftover exotic bare
-    gates are translated to rotations.
+    Negative controls become positive through the X frame of
+    ``lower_negative_controls``, many-controlled gates go through the
+    Toffoli chain (with shared appended ancillas), Toffolis become the
+    standard CX/RZ/H block, remaining single-controlled gates are
+    conjugated down to controlled-RZ form, and leftover exotic bare gates
+    are translated to rotations.
 
     Each distinct input gate object is expanded once, and every Toffoli
     body once per (control, control, target); the output tuple repeats

@@ -179,9 +179,10 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
 
     The uniform gateset admits only plain x/h/rx/ry/rz, cx and measure
     and raises UnsupportedGateForGateset on anything else; emission never
-    rewrites gates to fit.  Negative controls are X-conjugated away in
-    both modes.  Angles are printed with repr so parsing them back is
-    exact.  Each distinct Gate object is checked and formatted once.
+    rewrites gates to fit.  In both modes ``lower_negative_controls``
+    makes negative controls positive through its X frame.  Angles are
+    printed with repr so parsing them back is exact.  Each distinct Gate
+    object is checked and formatted once.
     """
     if gateset not in ("natural", "uniform"):
         raise ValueError(f"unknown gateset {gateset!r}")

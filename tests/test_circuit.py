@@ -1,9 +1,15 @@
 """Gate and circuit containers, metrics, negative-control lowering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsynth.circuit import (
+    GATE_KINDS,
+    ROTATION_KINDS,
     Circuit,
     Gate,
     complexity,
@@ -113,6 +119,79 @@ def test_lower_negative_controls_preserves_unitary(rng):
 def test_lower_negative_controls_positive_only_is_identity():
     circ = Circuit(num_qubits=2, gates=(x(1, ((0, True),)), h(0)))
     assert lower_negative_controls(circ) is circ
+
+
+def conjugated_reference(circuit: Circuit) -> Circuit:
+    """Per-gate lowering: each negative control between its own X pair."""
+    out = []
+    for g in circuit.gates:
+        xs = [x(q) for q, pos in g.controls if not pos]
+        out += [*xs, replace(g, controls=tuple((q, True) for q, _ in g.controls)), *reversed(xs)]
+    return Circuit(circuit.num_qubits, tuple(out))
+
+
+@st.composite
+def polarity_circuits(draw):
+    """Random <= 5-qubit circuits of every kind with mixed polarities.
+
+    Beside gates of random kind, some steps aim an X, bare or with
+    controls, at a qubit an earlier gate used as a negative control, so
+    it lands on a set frame bit.
+    """
+    n = draw(st.integers(1, 5))
+    polarity = st.booleans()
+    negatives: list[int] = []
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from(("gate", "gate", "frame-x")))
+        if step == "frame-x" and negatives:
+            target = draw(st.sampled_from(negatives))
+            kind = "x"
+        else:
+            target = draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        if kind == "measure":
+            gates.append(Gate("measure", tuple(draw(st.lists(
+                st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))))
+            continue
+        others = [q for q in range(n) if q != target]
+        chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
+                               unique=True)) if others else []
+        controls = tuple((q, draw(polarity)) for q in chosen)
+        negatives += [q for q, pos in controls if not pos]
+        angle = draw(st.floats(-6.0, 6.0)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, (target,), controls, angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polarity_circuits())
+def test_lower_negative_controls_frame_matches_conjugation(circ):
+    low = lower_negative_controls(circ)
+    reference = conjugated_reference(circ)
+    assert np.allclose(unitary(low), unitary(reference), rtol=0, atol=1e-12)
+    assert all(pos for g in low.gates for _, pos in g.controls)
+    assert len(low.gates) <= len(reference.gates)
+    assert lower_negative_controls(low) is low
+
+
+def test_lower_negative_controls_frame_spans_x_targets():
+    # one X pair on qubit 0 serves both gates, across a CX that targets 0
+    neg = x(2, ((0, False),))
+    circ = Circuit(3, (neg, x(0, ((1, True),)), neg))
+    low = lower_negative_controls(circ)
+    assert [g.kind for g in low.gates] == ["x"] * 5
+    assert low.gates[0] is low.gates[4]
+    assert low.gates[1] is low.gates[3]
+    assert low.gates[0].targets == (0,) and not low.gates[0].controls
+
+
+def test_lower_negative_controls_flushes_before_other_targets():
+    neg = x(1, ((0, False),))
+    low = lower_negative_controls(Circuit(2, (neg, h(0), neg)))
+    assert [(g.kind, g.targets) for g in low.gates] == [
+        ("x", (0,)), ("x", (1,)), ("x", (0,)), ("h", (0,)),
+        ("x", (0,)), ("x", (1,)), ("x", (0,))]
 
 
 def test_extend_returns_new_circuit():

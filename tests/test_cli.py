@@ -16,7 +16,8 @@ from qsynth.cli import main
 from qsynth.esop import EsopSpec, synth_esop, to_esop
 from qsynth.funcprep import assign_dont_cares, expand, to_truth_table
 from qsynth.pla import parse_pla
-from qsynth.qasm import parse_qasm
+from qsynth.optimize import lower_to_uniform
+from qsynth.qasm import emit_qasm, parse_qasm
 
 from conftest import BENCH_DIR, bench_path
 from test_esop import reference_evaluate
@@ -198,9 +199,9 @@ class TestSynth:
         assert out.read_bytes() == plain.read_bytes()
 
     def test_timeout_with_large_output(self, tmp_path):
-        # about 100 KB of QASM, more than the pipe buffer the forked
+        # about 130 KB of QASM, more than the pipe buffer the forked
         # child writes it through
-        source = bench_path("Z5xp1.pla")
+        source = bench_path("apex4.pla")
         out = tmp_path / "t.qasm"
         assert run_synth(source, out, "--method", "esop", "--timeout", "30") == 0
         plain = tmp_path / "p.qasm"
@@ -210,15 +211,38 @@ class TestSynth:
 
     @pytest.mark.parametrize("name,method,sha256", [
         ("clip", "esop",
-         "e30a2d30da6c7f18be22e8fe9527bb0db08a0177996f39548166adb4bc0eaac7"),
+         "5990fcf417ca0625c158c04f29a895883d10e3dd2dbfd65e50d7dc12d0d310d3"),
         ("Z9sym", "angle",
-         "5a36e1347071bc9c0f5445a98e23b08300783e64fd219148ec6a216758fd41af"),
+         "571aee8ae09a626a1b97e0c2ef0207b6ffea1c6e14cd3bdfc68faa8015a46a37"),
     ])
     def test_uniform_output_pinned(self, tmp_path, name, method, sha256):
         out = tmp_path / "u.qasm"
         assert run_synth(bench_path(f"{name}.pla"), out, "--method", method,
                          "--gateset", "uniform") == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("name,method", [
+        ("clip", "esop"), ("Z9sym", "angle"), ("squar5", "esop")])
+    def test_uniform_output_lowers_natural(self, tmp_path, name, method):
+        natural, uniform = tmp_path / "n.qasm", tmp_path / "u.qasm"
+        assert run_synth(bench_path(f"{name}.pla"), natural, "--method", method) == 0
+        assert run_synth(bench_path(f"{name}.pla"), uniform, "--method", method,
+                         "--gateset", "uniform") == 0
+        lowered = lower_to_uniform(parse_qasm(natural.read_text()))
+        assert uniform.read_text() == emit_qasm(lowered, "uniform")
+
+    def test_ir_gate_count_recorded(self, tmp_path):
+        source = bench_path("clip.pla")
+        ir = len(synth_esop(to_esop(parse_pla(source.read_text()))).gates)
+        for gateset in ("natural", "uniform"):
+            out = tmp_path / f"{gateset}.qasm"
+            assert run_synth(source, out, "--method", "esop", "--gateset", gateset) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            assert sidecar["ir_gate_count"] == ir
+            assert sidecar["gate_count"] == len(parse_qasm(out.read_text()).gates)
+        assert run_synth(source, out, "--method", "esop", "--opt", "mcx-ladder") == 0
+        laddered = json.loads(out.with_suffix(".json").read_text())["ir_gate_count"]
+        assert laddered > ir
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in BENCH_DIR.glob("*.pla")))
     def test_basis_is_esop_over_minterms(self, tmp_path, name):
@@ -465,6 +489,14 @@ class TestBench:
         assert cell["status"] == "ok"
         assert cell["function"] == "triple"
         assert "gate_count" in cell
+
+    def test_json_report_carries_ir_gate_count(self, pla_file, capsys):
+        assert main(["bench", "--functions", str(pla_file), "--methods", "esop",
+                     "--report", "json"]) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["ir_gate_count"] <= cell["gate_count"]
+        assert main(["bench", "--functions", str(pla_file), "--methods", "esop"]) == 0
+        assert "ir_gate_count" not in capsys.readouterr().out
 
     def test_error_cell_sets_exit_code(self, pla_file, monkeypatch, capsys):
         monkeypatch.setenv("QSYNTH_MAX_ROWS", "4")

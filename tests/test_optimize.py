@@ -150,9 +150,14 @@ class TestFiveGate:
 def test_decompose_mcx_repeats_one_expansion(mode, gate):
     circ = circuit(5, gate, h(4), gate)
     low = decompose_mcx(circ, mode)
-    half = len(low.gates) // 2
-    assert low.gates[half] is circ.gates[1]
-    assert all(a is b for a, b in zip(low.gates[:half], low.gates[half + 1:], strict=True))
+    # a negative control's frame X opens before the first expansion and
+    # closes after the second; h(4) leaves the frame on qubit 0 alone
+    frame = sum(1 for _, pos in gate.controls if not pos)
+    body = low.gates[frame:len(low.gates) - frame]
+    half = len(body) // 2
+    assert body[half] is circ.gates[1]
+    assert all(a is b for a, b in zip(body[:half], body[half + 1:], strict=True))
+    assert all(a is b for a, b in zip(low.gates[:frame], low.gates[:-frame - 1:-1]))
 
 
 def uc_run(kind, target, controls, angles):

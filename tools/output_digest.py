@@ -2,9 +2,10 @@
 
 Every packaged input runs through every method that applies to it, at
 both gate sets, under each pass list below.  Each configuration
-contributes the SHA-256 of its QASM and of its sidecar (without the
-``synth_time_us`` wall time), or its exit code and error message when it
-fails; configurations that end in ``SizeLimitExceeded`` are skipped.
+contributes its sidecar ``gate_count`` in plain text and the SHA-256 of
+its QASM and of its sidecar (without the ``synth_time_us`` wall time),
+or its exit code and error message when it fails; configurations that
+end in ``SizeLimitExceeded`` are skipped.
 Each natural-gate-set configuration whose method ``qsynth verify``
 supports is then verified against its source (amplitude at a fixed
 ``--seed``), and contributes its verify exit code and the SHA-256 of its
@@ -16,7 +17,8 @@ repository root (about 5 minutes on 2 CPUs):
     python3 tools/output_digest.py
 
 One line per configuration goes to stdout before the digests, so a
-``diff`` of two runs names the configurations that differ.
+``diff`` of two runs names the configurations that differ and each
+gate-count change.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def digest_one(config: tuple[str, str, str, str]) -> tuple[str, str | None] | No
         qasm_sha = hashlib.sha256(qasm.read_bytes()).hexdigest()
         sidecar_sha = hashlib.sha256(
             json.dumps(sidecar, sort_keys=True).encode()).hexdigest()
-        synth_line = f"{key} {qasm_sha} {sidecar_sha}"
+        synth_line = f"{key} gates={sidecar['gate_count']} {qasm_sha} {sidecar_sha}"
         if gateset != "natural" or method not in VERIFY_METHODS:
             return synth_line, None
         code, report, err = run_quiet(["verify", str(qasm), str(BENCH / source),

@@ -11,7 +11,7 @@ an angle in radians; no other kind does.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
@@ -45,6 +45,8 @@ class Gate:
         if self.kind == "measure":
             if self.controls:
                 raise ValueError("measurement cannot be controlled")
+        elif self.kind == "cz" and not self.controls:
+            raise ValueError("cz needs a control")
         elif len(self.targets) != 1:
             raise ValueError(f"{self.kind} takes exactly one target")
 
@@ -56,14 +58,6 @@ class Gate:
     @property
     def num_controls(self) -> int:
         return len(self.controls)
-
-    @property
-    def parameterized(self) -> bool:
-        return self.angle is not None
-
-    def cost(self) -> int:
-        """Control count plus target count."""
-        return len(self.controls) + len(self.targets)
 
 
 def _coerce_controls(controls) -> tuple[tuple[int, bool], ...]:
@@ -188,34 +182,17 @@ class Circuit:
 
     @property
     def parameterized_gate_count(self) -> int:
-        return sum(1 for g in self.gates if g.parameterized)
+        return metrics(self).parameterized_gate_count
 
 
 def complexity(circuit: Circuit) -> int:
     """Sum over gates of (controls + targets)."""
-    return sum(g.cost() for g in circuit.gates)
+    return metrics(circuit).complexity
 
 
 def depth(circuit: Circuit) -> int:
-    """Longest chain of gates that pairwise share a qubit.
-
-    Two gates conflict iff they touch any common qubit (controls count,
-    and so do measurements).
-    """
-    level = [0] * circuit.num_qubits
-    for qs in _per_gate(circuit.gates, Gate.qubits.fget):
-        # one- and two-qubit gates, nearly all of a lowered circuit, inline
-        if len(qs) == 1:
-            level[qs[0]] += 1
-        elif len(qs) == 2:
-            a, b = qs
-            level[a] = level[b] = max(level[a], level[b]) + 1
-        else:
-            d = 1 + max(map(level.__getitem__, qs))
-            for q in qs:
-                level[q] = d
-    # a qubit's level only grows, so the deepest gate left its mark
-    return max(level)
+    """Longest chain of gates that pairwise share a qubit (see ``metrics``)."""
+    return metrics(circuit).depth
 
 
 @dataclass(frozen=True)
@@ -227,23 +204,36 @@ class Metrics:
     parameterized_gate_count: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "qubits": self.qubits,
-            "gate_count": self.gate_count,
-            "complexity": self.complexity,
-            "depth": self.depth,
-            "parameterized_gate_count": self.parameterized_gate_count,
-        }
+        return asdict(self)
 
 
 def metrics(circuit: Circuit) -> Metrics:
-    return Metrics(
-        qubits=circuit.num_qubits,
-        gate_count=circuit.gate_count,
-        complexity=complexity(circuit),
-        depth=depth(circuit),
-        parameterized_gate_count=circuit.parameterized_gate_count,
-    )
+    """Every size measure of ``circuit`` from one walk over its gates.
+
+    Complexity sums controls plus targets over the gates, and the
+    parameterized count counts gates that carry an angle; both count
+    every occurrence of a repeated Gate object.  Depth is the longest
+    chain of gates that pairwise share a qubit: two gates conflict iff
+    they touch any common qubit (controls count, and so do
+    measurements).
+    """
+    level = [0] * circuit.num_qubits
+    cost = params = 0
+    for qs, angled in _per_gate(circuit.gates, lambda g: (g.qubits, g.angle is not None)):
+        cost += len(qs)
+        params += angled
+        # one- and two-qubit gates, nearly all of a lowered circuit, inline
+        if len(qs) == 1:
+            level[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            level[a] = level[b] = max(level[a], level[b]) + 1
+        else:
+            d = 1 + max(map(level.__getitem__, qs))
+            for q in qs:
+                level[q] = d
+    # a qubit's level only grows, so the deepest gate left its mark
+    return Metrics(circuit.num_qubits, len(circuit.gates), cost, max(level), params)
 
 
 def lower_negative_controls(circuit: Circuit) -> Circuit:

@@ -347,6 +347,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     opt = _parse_opt(args.opt)
 
     cells = _bench_cells(paths, methods, opt, args.gateset, args.timeout)
+    if not cells:
+        raise ValueError("no benchmark cells: no listed method applies to the inputs")
     if args.report == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION,
                            "timeout_s": args.timeout,

@@ -68,22 +68,32 @@ def remove_double_x(circuit: Circuit) -> Circuit:
 # Toffoli decompositions
 # ---------------------------------------------------------------------------
 
-def _ladder(gate: Gate, first_ancilla: int) -> tuple[list[tuple], Gate]:
-    """Toffoli chain that reduces a many-controlled gate to one control.
+def _ladder(circuit: Circuit, wants) -> Circuit:
+    """Reduce each gate that ``wants`` picks to one control by a Toffoli chain.
 
     With controls c1..ck the chain computes c1*c2 -> a1, c3*a1 -> a2, ...
-    onto k-1 fresh ancillas; each step is ``(control, control, ancilla)``
-    with the original control polarities riding on the chain.  The
-    middle gate applies ``gate`` controlled by the last ancilla; the
-    caller wraps it in the chain and then the chain reversed.
+    onto k-1 ancillas appended to ``circuit`` and shared by every picked
+    gate; the original control polarities ride on the chain.  The gate,
+    controlled by the last ancilla alone, sits between the chain and its
+    mirror, which returns every ancilla to 0.  Each step is one
+    ``Gate("x", (a,), (c1, c2))`` per (control, control, ancilla) for
+    the whole call, so gates that share their leading controls share
+    their steps' objects.
     """
-    controls = gate.controls
-    a = first_ancilla
-    chain = [(controls[0], controls[1], a)]
-    chain.extend((controls[i], (a + i - 2, True), a + i - 1)
-                 for i in range(2, len(controls)))
-    middle = Gate(gate.kind, gate.targets, ((chain[-1][2], True),), gate.angle)
-    return chain, middle
+    n = circuit.num_qubits
+    step = functools.cache(lambda c1, c2, a: Gate("x", (a,), (c1, c2)))
+
+    def expand(gate: Gate):
+        if not wants(gate):
+            return (gate,)
+        c = gate.controls
+        chain = [step(c[0], c[1], n)] + [step(c[i], (n + i - 2, True), n + i - 1)
+                                         for i in range(2, len(c))]
+        middle = Gate(gate.kind, gate.targets, ((n + len(c) - 2, True),), gate.angle)
+        return chain + [middle] + chain[::-1]
+
+    extra = max((g.num_controls - 1 for g in _distinct(circuit.gates) if wants(g)), default=0)
+    return _rewrite(circuit, expand, extra)
 
 
 def _five_gate(gate: Gate) -> list[Gate]:
@@ -104,24 +114,15 @@ def _five_gate(gate: Gate) -> list[Gate]:
 def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
     """Reduce control counts of X gates.
 
-    ``to_true_toffoli`` rewrites every X with three or more controls as a
-    chain of two-control Toffolis over freshly appended shared ancillas
-    (all returned to 0).  ``toffoli_to_5gate`` rewrites every two-control
-    X as two CX plus two controlled square-root-of-X and one controlled
-    inverse square root, after ``lower_negative_controls`` has made every
-    control positive.
+    ``to_true_toffoli`` rewrites every X with three or more controls as
+    ``_ladder``'s chain of two-control Toffolis over shared appended
+    ancillas (all returned to 0).  ``toffoli_to_5gate`` rewrites every
+    two-control X as two CX plus two controlled square-root-of-X and one
+    controlled inverse square root, after ``lower_negative_controls`` has
+    made every control positive.
     """
     if mode == "to_true_toffoli":
-        def ladder(gate: Gate):
-            if gate.kind != "x" or gate.num_controls < 3:
-                return (gate,)
-            chain, middle = _ladder(gate, circuit.num_qubits)
-            compute = [Gate("x", (a,), (c1, c2)) for c1, c2, a in chain]
-            return compute + [middle] + compute[::-1]
-
-        extra = max((g.num_controls - 1 for g in _distinct(circuit.gates)
-                     if g.kind == "x" and g.num_controls >= 3), default=0)
-        return _rewrite(circuit, ladder, extra)
+        return _ladder(circuit, lambda g: g.kind == "x" and g.num_controls >= 3)
     if mode == "toffoli_to_5gate":
         return _rewrite(lower_negative_controls(circuit), _five_gate)
     raise ValueError(f"unknown decomposition mode {mode!r}")
@@ -350,38 +351,30 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     """Rewrite to {rx, ry, rz, cx, x, h, measure}, up to global phase.
 
     Negative controls become positive through the X frame of
-    ``lower_negative_controls``, many-controlled gates go through the
-    Toffoli chain (with shared appended ancillas), Toffolis become the
-    standard CX/RZ/H block, remaining single-controlled gates are
-    conjugated down to controlled-RZ form, and leftover exotic bare gates
-    are translated to rotations.
+    ``lower_negative_controls``; every gate with two or more controls
+    but a Toffoli goes through ``_ladder``'s chain (with shared appended
+    ancillas).  What is left has at most two controls: Toffolis become
+    the standard CX/RZ/H block, single-controlled gates are conjugated
+    down to controlled-RZ form, and exotic bare gates are translated to
+    rotations.
 
-    Each distinct input gate object is expanded once, and every Toffoli
-    body once per (control, control, target); the output tuple repeats
-    those immutable Gate instances wherever the same expansion recurs.
+    Each distinct gate object is lowered once, and every Toffoli body
+    once per (control, control, target); the output tuple repeats those
+    immutable Gate instances wherever the same expansion recurs.
     """
-    # a two-control X is lowered in place; any other k-control gate with
-    # k >= 2 runs through a chain of k - 1 ancillas
-    extra = max((g.num_controls - 1 for g in _distinct(circuit.gates)
-                 if g.num_controls >= 2
-                 and not (g.kind == "x" and g.num_controls == 2)), default=0)
     toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
 
-    def lower_positive(gate: Gate) -> list[Gate]:
-        k = gate.num_controls
-        if gate.kind == "x" and k == 2:
+    def lower(gate: Gate) -> list[Gate]:
+        if gate.num_controls == 2:
             (a, _), (b, _) = gate.controls
             return toffoli(a, b, gate.targets[0])
-        if k >= 2:
-            chain, middle = _ladder(gate, circuit.num_qubits)
-            bodies = [toffoli(c1, c2, t) for (c1, _), (c2, _), t in chain]
-            return [g for body in bodies for g in body] + lower_positive(middle) + [
-                g for body in reversed(bodies) for g in body]
-        if k == 1:
+        if gate.num_controls == 1:
             return [gate] if gate.kind == "x" else _single_control_abc(gate)
         return _bare_translation(gate)
 
-    return _rewrite(lower_negative_controls(circuit), lower_positive, extra)
+    laddered = _ladder(lower_negative_controls(circuit),
+                       lambda g: g.num_controls > 2 or g.num_controls == 2 and g.kind != "x")
+    return _rewrite(laddered, lower)
 
 
 PASSES = {

@@ -12,7 +12,9 @@ from qsynth.circuit import (
     ROTATION_KINDS,
     Circuit,
     Gate,
+    Metrics,
     complexity,
+    cz,
     depth,
     h,
     lower_negative_controls,
@@ -102,6 +104,12 @@ def test_depth_empty():
     assert depth(Circuit(num_qubits=2)) == 0
 
 
+def test_cz_needs_a_control():
+    with pytest.raises(ValueError, match="cz needs a control"):
+        Gate("cz", (1,))
+    assert cz(0, 1).controls == ((0, True),)
+
+
 def test_lower_negative_controls_removes_them(rng):
     for _ in range(10):
         circ = random_circuit(rng, 4, 12)
@@ -150,13 +158,15 @@ def polarity_circuits(draw):
         else:
             target = draw(st.integers(0, n - 1))
             kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        if kind == "cz" and n == 1:
+            kind = "z"  # a cz needs a control
         if kind == "measure":
             gates.append(Gate("measure", tuple(draw(st.lists(
                 st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))))
             continue
         others = [q for q in range(n) if q != target]
-        chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
-                               unique=True)) if others else []
+        chosen = draw(st.lists(st.sampled_from(others), min_size=int(kind == "cz"),
+                               max_size=min(3, len(others)), unique=True)) if others else []
         controls = tuple((q, draw(polarity)) for q in chosen)
         negatives += [q for q, pos in controls if not pos]
         angle = draw(st.floats(-6.0, 6.0)) if kind in ROTATION_KINDS else None
@@ -200,3 +210,42 @@ def test_extend_returns_new_circuit():
     assert base.gate_count == 1
     assert longer.gate_count == 2
     assert longer.gates[0] == base.gates[0]
+
+
+def reference_metrics(circuit: Circuit) -> Metrics:
+    """The separate complexity, depth and parameterized-count loops."""
+    level = [0] * circuit.num_qubits
+    for qs in (g.qubits for g in circuit.gates):
+        if len(qs) == 1:
+            level[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            level[a] = level[b] = max(level[a], level[b]) + 1
+        else:
+            d = 1 + max(map(level.__getitem__, qs))
+            for q in qs:
+                level[q] = d
+    return Metrics(
+        qubits=circuit.num_qubits,
+        gate_count=len(circuit.gates),
+        complexity=sum(len(g.controls) + len(g.targets) for g in circuit.gates),
+        depth=max(level),
+        parameterized_gate_count=sum(1 for g in circuit.gates if g.angle is not None),
+    )
+
+
+@st.composite
+def circuits_repeating_gates(draw):
+    """``polarity_circuits`` gates, each drawn any number of times."""
+    pool = draw(polarity_circuits())
+    picks = draw(st.lists(st.integers(0, len(pool.gates) - 1), max_size=16)) if pool.gates else []
+    return Circuit(pool.num_qubits, tuple(pool.gates[i] for i in picks))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(circuits_repeating_gates())
+def test_metrics_matches_per_gate_reference(circ):
+    m = metrics(circ)
+    assert m == reference_metrics(circ)
+    assert (complexity(circ), depth(circ)) == (m.complexity, m.depth)
+    assert circ.parameterized_gate_count == m.parameterized_gate_count

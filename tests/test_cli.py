@@ -221,6 +221,16 @@ class TestSynth:
                          "--gateset", "uniform") == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("gateset,sha256", [
+        ("natural", "4b954993df6927ad2710e589b0bae645521e44696539698e366292d6fe696e5c"),
+        ("uniform", "21b547a0697dd9b8fff46aad474891a5da36d7c9899b46b8c54f85c6a4fde33a"),
+    ])
+    def test_mcx_ladder_output_pinned(self, tmp_path, gateset, sha256):
+        out = tmp_path / "l.qasm"
+        assert run_synth(bench_path("clip.pla"), out, "--method", "esop",
+                         "--opt", "mcx-ladder", "--gateset", gateset) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     @pytest.mark.parametrize("name,method", [
         ("clip", "esop"), ("Z9sym", "angle"), ("squar5", "esop")])
     def test_uniform_output_lowers_natural(self, tmp_path, name, method):
@@ -497,6 +507,14 @@ class TestBench:
         assert cell["ir_gate_count"] <= cell["gate_count"]
         assert main(["bench", "--functions", str(pla_file), "--methods", "esop"]) == 0
         assert "ir_gate_count" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("methods", [",", "amplitude"])
+    def test_empty_grid_rejected(self, pla_file, methods, capsys):
+        # no method applies to a PLA source, so no cell runs
+        assert main(["bench", "--functions", str(pla_file), "--methods", methods]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no benchmark cells" in captured.err
 
     def test_error_cell_sets_exit_code(self, pla_file, monkeypatch, capsys):
         monkeypatch.setenv("QSYNTH_MAX_ROWS", "4")

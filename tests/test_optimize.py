@@ -114,6 +114,19 @@ class TestMcxLadder:
         assert low.labels == ("a", "b", "c", "d", "anc0", "anc1")
 
 
+def test_chains_share_toffoli_steps():
+    # both gates open their chain with the (0, 1, ancilla 7) step
+    circ = circuit(7, x(5, (0, 1, 2)), x(6, (0, 1, 3)))
+    ladder = decompose_mcx(circ, "to_true_toffoli")
+    assert ladder.gates[0] == x(7, (0, 1))
+    assert ladder.gates[0] is ladder.gates[4] is ladder.gates[5] is ladder.gates[9]
+    assert ladder.gates[1] != ladder.gates[6]
+    # 15 gates per Toffoli body, 61 per three-control X
+    low = lower_to_uniform(circ).gates
+    assert all(a is b for a, b in zip(low[:15], low[61:76], strict=True))
+    assert all(a is b for a, b in zip(low[:15], low[-15:], strict=True))
+
+
 class TestFiveGate:
     def test_positive_toffoli_shape(self):
         circ = circuit(3, x(2, (0, 1)))

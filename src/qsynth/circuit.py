@@ -4,8 +4,10 @@ A circuit is an ordered, immutable list of gates over a fixed number of
 qubits.  Gates carry an optional set of controls; each control is a
 (qubit, positive) pair, where a negative control fires on |0>;
 ``lower_negative_controls`` makes it positive through an X frame that
-emits an X only where a qubit's polarity changes.  Rotation kinds carry
-an angle in radians; no other kind does.
+emits an X only where a qubit's polarity changes.  Each operation has
+one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
+one), and a gate count is ``len(circuit)``.  Rotation kinds carry an
+angle in radians; no other kind does.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
-GATE_KINDS = frozenset({"x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure"})
+GATE_KINDS = frozenset({"x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure"})
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,6 @@ class Gate:
         if self.kind == "measure":
             if self.controls:
                 raise ValueError("measurement cannot be controlled")
-        elif self.kind == "cz" and not self.controls:
-            raise ValueError("cz needs a control")
         elif len(self.targets) != 1:
             raise ValueError(f"{self.kind} takes exactly one target")
 
@@ -84,7 +84,7 @@ def z(target: int, controls=()) -> Gate:
 
 
 def cz(control: int, target: int) -> Gate:
-    return Gate("cz", (target,), ((control, True),))
+    return Gate("z", (target,), ((control, True),))
 
 
 def rx(angle: float, target: int, controls=()) -> Gate:
@@ -175,14 +175,6 @@ class Circuit:
             if g.kind == "measure":
                 out.extend(g.targets)
         return tuple(out)
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
-    @property
-    def parameterized_gate_count(self) -> int:
-        return metrics(self).parameterized_gate_count
 
 
 def complexity(circuit: Circuit) -> int:

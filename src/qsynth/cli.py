@@ -55,6 +55,7 @@ METHODS = PLA_METHODS + PMF_METHODS
 VERIFY_METHODS = ("esop", "tbs", "tbs-rm", "basis", "amplitude")
 
 DEFAULT_BENCH_TIMEOUT = 60.0
+MAX_TIMEOUT_S = 1e6  # the pipe wait overflows past 2^31 ms (about 24.9 days)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def _synthesize(source: Path, method: str, opt: list[str],
     circ = _build_circuit(source, method)
     if opt:
         circ = apply_passes(circ, opt)
-    ir_gate_count = circ.gate_count
+    ir_gate_count = len(circ)
     circ = lower_to_uniform(circ) if gateset == "uniform" else lower_negative_controls(circ)
     elapsed_us = round((time.perf_counter() - started) * 1e6)
     report = {
@@ -365,6 +366,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _timeout(text: str) -> float:
+    """The --timeout type: a number of seconds in (0, MAX_TIMEOUT_S]."""
+    seconds = float(text)  # argparse reports a ValueError as a usage error
+    if not 0 < seconds <= MAX_TIMEOUT_S:  # NaN fails this too
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds in (0, {MAX_TIMEOUT_S:.0f}], got {text!r}")
+    return seconds
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsynth",
@@ -379,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--opt", help="comma-separated pass names")
     synth.add_argument("--qubits", type=int,
                        help="expected address-qubit count (PMF inputs)")
-    synth.add_argument("--timeout", type=float, default=None,
+    synth.add_argument("--timeout", type=_timeout, default=None,
                        help="wall-clock cap in seconds")
     synth.add_argument("--out", help="output .qasm path")
     synth.set_defaults(func=cmd_synth)
@@ -402,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--opt", help="comma-separated pass names")
     bench.add_argument("--gateset", choices=("natural", "uniform"),
                        default="natural")
-    bench.add_argument("--timeout", type=float, default=DEFAULT_BENCH_TIMEOUT)
+    bench.add_argument("--timeout", type=_timeout, default=DEFAULT_BENCH_TIMEOUT)
     bench.add_argument("--report", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", help="write the table here too")
     bench.set_defaults(func=cmd_bench)

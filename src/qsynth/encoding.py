@@ -88,43 +88,35 @@ def synth_basis(spec: QromSpec) -> Circuit:
 def synth_angle(spec: QromSpec, normalized: NormalizedWords) -> Circuit:
     """Rotation memory on n address qubits plus one data qubit.
 
-    ``normalized`` supplies one value per pair, in pair order.  Plain
-    mode: pairs at even positions store their value as an RX (so
-    P(data=1 | that address) = sin^2(value)) and pairs at odd positions
-    store theirs as an RZ phase; values must lie in [0, 2*pi).  Float-like
-    words select improved mode, which stores, per address, the
-    significand as an RX and the integer exponent as an RZ.  Zero-valued
-    words emit nothing.
+    ``normalized`` supplies one value per pair, in pair order, and each
+    address gets an (RX, RZ) angle pair, both under its full address
+    controls.  Plain mode: pairs at even positions store their value as
+    the RX angle (so P(data=1 | that address) = sin^2(value)) and pairs
+    at odd positions as the RZ phase; values must lie in [0, 2*pi).
+    Float-like words select improved mode, which stores the significand
+    as the RX angle and the integer exponent as the RZ phase.  A zero
+    angle emits no gate, and a zero word emits neither.
     """
     if len(normalized.values) != len(spec.pairs):
-        raise ValueError(
-            f"{len(normalized.values)} values for {len(spec.pairs)} pairs"
-        )
-    data = spec.n
-    gates = []
+        raise ValueError(f"{len(normalized.values)} values for {len(spec.pairs)} pairs")
     if normalized.scheme == "floatlike":
-        for j, (a, _) in enumerate(spec.pairs):
-            s = normalized.significands[j]
-            e = normalized.exponents[j]
-            if s == 0.0:
-                continue
-            controls = _address_controls(spec.n, a)
-            gates.append(rx(2.0 * s, data, controls))
-            if e:
-                gates.append(rz(float(e), data, controls))
+        # a zero significand marks the zero word, whose exponent is not stored
+        angles = [(2.0 * s, float(e) if s else 0.0)
+                  for s, e in zip(normalized.significands, normalized.exponents)]
     else:
         bad = [v for v in normalized.values if not 0.0 <= v < 2.0 * math.pi]
         if bad:
             raise ValueOutOfRange(f"angle value {bad[0]!r} outside [0, 2*pi)")
-        for j, (a, _) in enumerate(spec.pairs):
-            v = normalized.values[j]
-            if v == 0.0:
-                continue
-            controls = _address_controls(spec.n, a)
-            if j % 2 == 0:
-                gates.append(rx(2.0 * v, data, controls))
-            else:
-                gates.append(rz(v, data, controls))
+        angles = [(2.0 * v, 0.0) if j % 2 == 0 else (0.0, v)
+                  for j, v in enumerate(normalized.values)]
+    data = spec.n
+    gates = []
+    for (a, _), (x_angle, z_angle) in zip(spec.pairs, angles):
+        controls = _address_controls(spec.n, a)
+        if x_angle:
+            gates.append(rx(x_angle, data, controls))
+        if z_angle:
+            gates.append(rz(z_angle, data, controls))
     labels = tuple(f"a{i}" for i in range(spec.n)) + ("d0",)
     return Circuit(num_qubits=spec.n + 1, gates=tuple(gates), labels=labels)
 
@@ -219,21 +211,22 @@ def spec_from_table(table: TruthTable) -> QromSpec:
 def qrom_pipeline(table: PlaTable, encoding: str = "basis") -> Circuit:
     """Cube list to memory circuit: expand, flatten, encode.
 
-    Addresses the cubes leave undefined hold the word 0.  The angle
-    encoding normalizes words to [0,1) (``fixedpoint01``); the
-    improved-angle encoding uses the float-like split into significand
-    and exponent.
+    Addresses the cubes leave undefined hold the word 0, so cubes that
+    define no address give a memory with no gates.  The angle encoding
+    normalizes words to [0,1) (``fixedpoint01``); the improved-angle
+    encoding uses the float-like split into significand and exponent.
     """
     flat = to_truth_table(assign_dont_cares(expand(table)))
     spec = spec_from_table(flat)
     if encoding == "basis":
         return synth_basis(spec)
+    schemes = {"angle": "fixedpoint01", "improved-angle": "floatlike"}
+    if encoding not in schemes:
+        raise ValueError(f"unknown encoding {encoding!r}")
     words = [x for _, x in spec.pairs]
-    if encoding == "angle":
-        return synth_angle(spec, normalize(words, "fixedpoint01", width=spec.m))
-    if encoding == "improved-angle":
-        return synth_angle(spec, normalize(words, "floatlike", width=spec.m))
-    raise ValueError(f"unknown encoding {encoding!r}")
+    if not words:  # every address holds 0, which costs no gates
+        return synth_angle(spec, NormalizedWords("fixedpoint01", spec.m, ()))
+    return synth_angle(spec, normalize(words, schemes[encoding], width=spec.m))
 
 
 def qrng_pipeline(bins) -> Circuit:

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-Every error raised on a user-facing path derives from QsynthError so the
-command line layer can map failures to stable exit codes.
+Every error raised on a user-facing path derives directly from
+QsynthError, so the command line layer can map failures to stable exit
+codes; the section comments group the errors by layer.
 """
 
 
@@ -11,137 +12,113 @@ class QsynthError(Exception):
 
 # ---------------------------------------------------------------- table I/O
 
-class PlaError(QsynthError):
-    """Base class for table parsing/writing problems."""
-
-
-class MalformedDirective(PlaError):
+class MalformedDirective(QsynthError):
     """A dot-directive is missing, malformed, or out of order."""
 
 
-class BadCube(PlaError):
+class BadCube(QsynthError):
     """A cube row has the wrong width or an illegal symbol."""
 
 
-class ConflictingRows(PlaError):
+class ConflictingRows(QsynthError):
     """Two fully specified rows assign different values to one output."""
 
 
 # ------------------------------------------------------------ preprocessing
 
-class FuncPrepError(QsynthError):
-    """Base class for function preparation failures."""
-
-
-class SizeLimitExceeded(FuncPrepError):
+class SizeLimitExceeded(QsynthError):
     """A table or circuit grew past a configured hard cap."""
 
 
-class NotInjective(FuncPrepError):
+class NotInjective(QsynthError):
     """An operation required a one-to-one table and did not get one."""
 
 
-class WidthMismatch(FuncPrepError):
+class WidthMismatch(QsynthError):
     """Input and output widths disagree with what the operation needs."""
 
 
-class EmptyInput(FuncPrepError):
+class EmptyInput(QsynthError):
     """No rows / no words / no bins were supplied."""
 
 
-class AllZero(FuncPrepError):
+class AllZero(QsynthError):
     """Every bin of a would-be distribution is zero."""
 
 
-class AllZeroWithFactor(FuncPrepError):
+class AllZeroWithFactor(QsynthError):
     """Factor normalization is undefined when the maximum word is zero."""
 
 
-class NotPowerOfTwo(FuncPrepError):
+class NotPowerOfTwo(QsynthError):
     """A bin count must be a power of two and is not."""
 
 
 # ---------------------------------------------------------------- synthesis
 
-class SynthError(QsynthError):
-    """Base class for synthesis failures."""
-
-
-class NotComplete(SynthError):
+class NotComplete(QsynthError):
     """The truth table does not define every input pattern."""
 
 
-class NotSquare(SynthError):
+class NotSquare(QsynthError):
     """The truth table is not square (input width != output width)."""
 
 
-class NotBijective(SynthError):
+class NotBijective(QsynthError):
     """The truth table is not a permutation of its domain."""
 
 
-class NoPivot(SynthError):
+class NoPivot(QsynthError):
     """No admissible pivot column exists for a spectral synthesis step."""
 
 
-class DuplicateAddress(SynthError):
+class DuplicateAddress(QsynthError):
     """Two memory rows share an address but store different words."""
 
 
-class ValueOutOfRange(SynthError):
+class ValueOutOfRange(QsynthError):
     """A stored angle fell outside [0, 2*pi)."""
 
 
-class NotNormalized(SynthError):
+class NotNormalized(QsynthError):
     """A distribution does not sum to one within tolerance."""
 
 
-class NoSymmetry(SynthError):
+class NoSymmetry(QsynthError):
     """The requested symmetry is absent from the value tree."""
 
 
 # --------------------------------------------------------------- simulation
 
-class SimulationError(QsynthError):
-    """Base class for simulation failures."""
-
-
-class NonClassicalGate(SimulationError):
+class NonClassicalGate(QsynthError):
     """Reversible simulation met a gate outside the X family."""
 
 
-class TooManyQubits(SimulationError):
+class TooManyQubits(QsynthError):
     """Dense statevector simulation refuses circuits this wide."""
 
 
-class NonConvergent(SimulationError):
+class NonConvergent(QsynthError):
     """Shot calibration hit its cap without meeting the threshold."""
 
 
 # ------------------------------------------------------------------ emission
 
-class QasmError(QsynthError):
-    """Base class for OpenQASM emission/parsing problems."""
-
-
-class UnsupportedGateForGateset(QasmError):
+class UnsupportedGateForGateset(QsynthError):
     """A gate cannot be expressed in the requested output gate set."""
 
 
-class UnsupportedStatement(QasmError):
+class UnsupportedStatement(QsynthError):
     """The parser met a statement outside the supported subset."""
 
 
 # -------------------------------------------------------------- applications
 
-class GroverError(QsynthError):
-    """Base class for search application failures."""
-
-
-class NoSolutions(GroverError):
+class NoSolutions(QsynthError):
     """The search predicate marks no basis state."""
 
 
-class AllSolutions(GroverError):
+class AllSolutions(QsynthError):
     """The search predicate marks every basis state."""
 
 

@@ -319,7 +319,7 @@ def _single_control_abc(gate: Gate) -> list[Gate]:
         return [rot(gate.angle / 2, t), x(t, (c,)), rot(-gate.angle / 2, t), x(t, (c,))]
     if kind == "rx":
         return [h(t)] + _single_control_abc(rz(gate.angle, t, (c,))) + [h(t)]
-    if kind in ("z", "cz"):
+    if kind == "z":
         return [h(t), x(t, (c,)), h(t)]
     if kind == "sx":
         return [rz(_T, c)] + _single_control_abc(rx(math.pi / 2, t, (c,)))
@@ -329,7 +329,7 @@ def _single_control_abc(gate: Gate) -> list[Gate]:
         # H = RY(pi/4) Z RY(-pi/4); the list applies the rightmost factor first
         return (
             [ry(-math.pi / 4, t)]
-            + _single_control_abc(Gate("z", (t,), ((c, True),)))
+            + _single_control_abc(cz(c, t))
             + [ry(math.pi / 4, t)]
         )
     raise ValueError(f"cannot lower controlled {kind!r}")

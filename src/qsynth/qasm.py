@@ -2,21 +2,24 @@
 
 Emitted files are self-contained: every gate name used is defined in the
 file from the builtin U and CX primitives, so no include is needed.
-Multi-controlled names are generated per arity (mcx_3, mcrz_4, ...) with
-small recursive bodies; the controlled bodies are exact, bare one-qubit
-shorthands may differ from their IR matrices by a global phase only.
+A gate's name is its IR kind with its control count: the bare kind,
+then c<kind> (cx, cz, crz, ...), ccx, and mc<kind>_<k> per arity (mcx_3,
+mcrz_4, ...) with small recursive bodies; the controlled bodies are
+exact, bare one-qubit shorthands may differ from their IR matrices by a
+global phase only.
 
 The parser reads files shaped like the emitter's output: definitions are
 skipped by name (never expanded) and applications map straight back to
-IR gates, so emit -> parse -> emit is byte-stable.  Anything outside
-that statement repertoire raises UnsupportedStatement.
+IR gates: parsing gives back the emitted gates, and emit -> parse ->
+emit is byte-stable.  Anything outside that statement repertoire raises
+UnsupportedStatement.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, _per_gate, lower_negative_controls
+from .circuit import GATE_KINDS, Circuit, Gate, _per_gate, lower_negative_controls
 from .errors import UnsupportedGateForGateset, UnsupportedStatement
 
 UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h", "measure"})
@@ -165,15 +168,6 @@ def _def_sort_key(name: str):
 # emission
 # ---------------------------------------------------------------------------
 
-_FAMILY_OF_KIND = {"x": "x", "z": "z", "cz": "z", "h": "h", "rx": "rx",
-                   "ry": "ry", "rz": "rz", "sx": "sx", "sxdg": "sxdg"}
-
-
-def _gate_name(gate: Gate) -> str:
-    family = _FAMILY_OF_KIND[gate.kind]
-    return _mc_name(family, gate.num_controls)
-
-
 def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     """Serialize a circuit; ``gateset`` is ``natural`` or ``uniform``.
 
@@ -202,7 +196,7 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
                     f"{gate.kind} with {gate.num_controls} controls is outside "
                     "the uniform gateset"
                 )
-        name = _gate_name(gate)
+        name = _mc_name(gate.kind, gate.num_controls)
         names.add(name)
         operands = ",".join(f"q[{q}]" for q in gate.qubits)
         if gate.angle is not None:
@@ -244,14 +238,12 @@ _REG_RE = re.compile(r"^([qc])reg\s+\1\[(\d+)\]$")  # qreg q[n] or creg c[n]
 _OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _DEF_RE = re.compile(r"gate\s+[A-Za-z_][A-Za-z0-9_]*[^{]*\{[^}]*\}")
 
-# name -> (IR kind, control count): the emitter's names inverted; cz
-# round-trips through the cz IR kind
+# name -> (IR kind, control count): the emitter's names inverted, so
+# cz reads back as a z with one control
 _NAME_TABLE: dict[str, tuple[str, int]] = {
-    _mc_name(family, k): (kind, k)
-    for kind, family in _FAMILY_OF_KIND.items() if kind != "cz"
-    for k in (0, 1)
+    _mc_name(kind, k): (kind, k) for kind in GATE_KINDS - {"measure"} for k in (0, 1)
 }
-_NAME_TABLE.update(ccx=("x", 2), cz=("cz", 1))
+_NAME_TABLE.update(ccx=("x", 2))
 
 
 def _resolve_name(name: str) -> tuple[str, int]:

@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .errors import NonClassicalGate, NonConvergent, TooManyQubits
-from .funcprep import Pmf
+from .errors import NonClassicalGate, NonConvergent, SizeLimitExceeded, TooManyQubits
+from .funcprep import Pmf, row_cap
 
 MAX_STATEVECTOR_QUBITS = 20
 CALIBRATION_CAP = 1 << 26
+CALIBRATION_START_SHOTS = 1000
+CALIBRATION_MARGIN = 1.5  # the recommended count over the first one that passed
 # sample() clears bins below this (under 1e-8 counts at 2^63 shots): a residue
 # in place of an exact 0 changes how numpy consumes its stream, redrawing all
 _SAMPLE_FLOOR = 2.0 ** -90
@@ -38,7 +40,6 @@ _MATRICES = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "cz": np.array([[1, 0], [0, -1]], dtype=complex),
     "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
     "sxdg": np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2,
 }
@@ -95,10 +96,10 @@ def run_reversible(circuit: Circuit, word: int) -> int:
 def run_reversible_table(circuit: Circuit, words=None) -> list[int]:
     """Propagate basis states through an X-family circuit.
 
-    ``words`` defaults to the full domain.  Only (multi-)controlled X
-    gates are allowed; anything else raises NonClassicalGate.  Inputs and
-    results use the table word convention (qubit 0 is the most
-    significant bit).
+    ``words`` defaults to the full domain, which raises SizeLimitExceeded
+    past the QSYNTH_MAX_ROWS cap.  Only (multi-)controlled X gates are
+    allowed; anything else raises NonClassicalGate.  Inputs and results
+    use the table word convention (qubit 0 is the most significant bit).
 
     The replay is bit-sliced: qubit q is one Python int whose bit i holds
     q's value in word i, so a gate costs a few big-int AND/XOR operations
@@ -106,6 +107,9 @@ def run_reversible_table(circuit: Circuit, words=None) -> list[int]:
     """
     n = circuit.num_qubits
     if words is None:
+        cap = row_cap()
+        if 1 << n > cap:
+            raise SizeLimitExceeded(f"replaying every word needs {1 << n} rows, cap is {cap}")
         words = np.arange(1 << n, dtype=np.uint64)
     else:
         words = list(words)
@@ -398,21 +402,14 @@ def calibrate_shots(pmf: Pmf, circuit: Circuit | None = None, **options) -> int:
     return calibrate_shots_report(pmf, circuit, **options).shots
 
 
-def calibrate_shots_report(
-    pmf: Pmf,
-    circuit: Circuit | None = None,
-    threshold: float = 1e-3,
-    start_shots: int = 1000,
-    margin: float = 1.5,
-    seed: int = 0,
-    cap: int = CALIBRATION_CAP,
-) -> CalibrationResult:
+def calibrate_shots_report(pmf: Pmf, circuit: Circuit | None = None, threshold: float = 1e-3,
+                           seed: int = 0, cap: int = CALIBRATION_CAP) -> CalibrationResult:
     """Find a shot budget that makes sampled histograms track the target.
 
-    Doubles the shot count until the per-shot G statistic of a sampled
-    histogram against ``pmf`` drops below ``threshold``, then recommends
-    ``margin`` times that count, rounded up.  Raises NonConvergent past
-    ``cap`` shots.
+    Doubles the shot count, from CALIBRATION_START_SHOTS, until the
+    per-shot G statistic of a sampled histogram against ``pmf`` drops
+    below ``threshold``, then recommends CALIBRATION_MARGIN times that
+    count, rounded up.  Raises NonConvergent past ``cap`` shots.
 
     The raw G statistic grows like a chi-square variable with bins-1
     degrees of freedom, so an absolute threshold as small as 1e-3 is only
@@ -426,7 +423,7 @@ def calibrate_shots_report(
     probs, _ = _distribution_of(circuit if circuit is not None else pmf)
     target = np.asarray(pmf.probs)
 
-    shots = start_shots
+    shots = CALIBRATION_START_SHOTS
     attempt = 0
     while True:
         hist = sample(probs, shots, seed=seed + attempt)
@@ -438,7 +435,7 @@ def calibrate_shots_report(
         if shots > cap:
             raise NonConvergent(f"no shot count below {cap} met G < {threshold}")
 
-    recommended = math.ceil(margin * shots)
+    recommended = math.ceil(CALIBRATION_MARGIN * shots)
     final = sample(probs, recommended, seed=seed + 1000)
     g_final = 2.0 * kl_divergence(final.empirical(), target)
     p_final = _chi2_sf(g_final, 1)

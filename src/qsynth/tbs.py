@@ -1,10 +1,11 @@
 """Minimal-qubit reversible synthesis over complete bijective tables.
 
-Both variants sweep the input patterns in ascending order and, for each
-pattern, append gates that move the current output value onto the input
-value without disturbing any earlier (already settled) row.  The recorded
-gate cascade maps the function to the identity, so the synthesized
-circuit is the cascade reversed: simulating it on |x> yields |f(x)>.
+Both variants sweep the input patterns in ascending order, in one loop
+(``_run``) that takes the variant's row rule, and for each pattern append
+gates that move the current output value onto the input value without
+disturbing any earlier (already settled) row.  The recorded gate
+cascade maps the function to the identity, so the synthesized circuit
+is the cascade reversed: simulating it on |x> yields |f(x)>.
 
 The basic sweep uses Miller's unidirectional rule directly on output
 values.  The spectral variant drives the subset-parity (positive-polarity
@@ -105,13 +106,13 @@ class _Sweep:
         """The whole table, settled rows included; the window stays put."""
         return (*range(self.base), *_words_of(self.cols[::-1], (1 << self.n) - self.base))
 
-    def basic_row(self, x: int) -> int:
-        """Miller's rule for one row; returns the number of gates added.
+    def basic_row(self, x: int) -> None:
+        """Miller's rule for one row.
 
         No gate fires on a settled row p < x, so all live rows may take it:
         both masks (the current value, >= x, and x) lie only in values >= x.
         """
-        cur, before = self.value(x), len(self.recorded)
+        cur = self.value(x)
         # raise the bits x has and the current value lacks, controlling on
         # the 1-bits of the (growing) current value
         for b in range(self.n):
@@ -122,7 +123,6 @@ class _Sweep:
         for b in range(self.n):
             if not (x >> b) & 1 and (cur >> b) & 1:
                 self.apply(x, b)
-        return len(self.recorded) - before
 
     def circuit(self) -> Circuit:
         """The reversed cascade, with one shared Gate per distinct gate."""
@@ -131,11 +131,22 @@ class _Sweep:
                        gates=tuple(made[key] for key in reversed(self.recorded)))
 
 
-def synth_tbs_basic(
-    table: TruthTable,
-    gate_cap: int = GATE_CAP,
-    with_trace: bool = False,
-):
+def _run(sweep: _Sweep, rule, with_trace: bool):
+    """Settle each row in ascending order by ``rule(sweep, row)``; the circuit (and trace)."""
+    steps: list[TraceStep] = []
+    for x in range(1 << sweep.n):
+        before = len(sweep.recorded)
+        rule(sweep, x)
+        if with_trace:
+            steps.append(TraceStep(row=x, table=sweep.snapshot(),
+                                   gates_added=len(sweep.recorded) - before))
+    circuit = sweep.circuit()
+    if with_trace:
+        return circuit, SynthTrace(gates=circuit.gates[::-1], steps=tuple(steps))
+    return circuit
+
+
+def synth_tbs_basic(table: TruthTable, gate_cap: int = GATE_CAP, with_trace: bool = False):
     """Synthesize a complete bijection on exactly n qubits.
 
     Ascending sweep; at each input pattern the current output is mapped
@@ -145,16 +156,7 @@ def synth_tbs_basic(
     ``gate_cap`` recorded gates.
     """
     _check_square_bijection(table)
-    sweep = _Sweep(table, gate_cap)
-    steps: list[TraceStep] = []
-    for x in range(1 << table.n):
-        added = sweep.basic_row(x)
-        if with_trace:
-            steps.append(TraceStep(row=x, table=sweep.snapshot(), gates_added=added))
-    circuit = sweep.circuit()
-    if with_trace:
-        return circuit, SynthTrace(gates=circuit.gates[::-1], steps=tuple(steps))
-    return circuit
+    return _run(_Sweep(table, gate_cap), _Sweep.basic_row, with_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +182,7 @@ def rm_spectrum(table: TruthTable) -> list[int]:
     return arr.tolist()
 
 
-def synth_tbs_rm(
-    table: TruthTable,
-    gate_cap: int = GATE_CAP,
-    with_trace: bool = False,
-):
+def synth_tbs_rm(table: TruthTable, gate_cap: int = GATE_CAP, with_trace: bool = False):
     """Spectral sweep: drive the coefficient rows to the identity pattern.
 
     The identity function's spectrum has row 0 = 0, row 2^k = the k-th
@@ -206,42 +204,34 @@ def synth_tbs_rm(
       below i that the fan-out disturbed.
     """
     _check_square_bijection(table)
-    sweep = _Sweep(table, gate_cap)
-    n = table.n
-    steps: list[TraceStep] = []
+    return _run(_Sweep(table, gate_cap), _rm_row, with_trace)
 
-    for i in range(1 << n):
-        before = len(sweep.recorded)
-        r = sweep.value(i)
-        if i == 0:
-            for b in range(n):
-                if (r >> b) & 1:
-                    sweep.apply(0, b)
-        elif i & (i - 1) == 0:
-            k = i.bit_length() - 1
-            if not (r >> k) & 1:
-                if not r >> (k + 1):
-                    raise NoPivot(f"row {i} has no coefficient bit above {k}")
-                sweep.apply(1 << (r.bit_length() - 1), k)  # the highest hot bit
-                r = sweep.value(i)
-            for j in range(n):
-                if j != k and (r >> j) & 1:
-                    sweep.apply(1 << k, j)
-        else:
-            r ^= i
-            if r:
-                s = r.bit_length() - 1
-                others = [j for j in range(n) if j != s and (r >> j) & 1]
-                for j in others:
-                    sweep.apply(1 << s, j)
-                sweep.apply(i, s)
-                for j in reversed(others):
-                    sweep.apply(1 << s, j)
-        if with_trace:
-            steps.append(TraceStep(row=i, table=sweep.snapshot(),
-                                   gates_added=len(sweep.recorded) - before))
 
-    circuit = sweep.circuit()
-    if with_trace:
-        return circuit, SynthTrace(gates=circuit.gates[::-1], steps=tuple(steps))
-    return circuit
+def _rm_row(sweep: _Sweep, i: int) -> None:
+    """One step of ``synth_tbs_rm``: bring coefficient row ``i`` to the identity's."""
+    n = sweep.n
+    r = sweep.value(i)
+    if i == 0:
+        for b in range(n):
+            if (r >> b) & 1:
+                sweep.apply(0, b)
+    elif i & (i - 1) == 0:
+        k = i.bit_length() - 1
+        if not (r >> k) & 1:
+            if not r >> (k + 1):
+                raise NoPivot(f"row {i} has no coefficient bit above {k}")
+            sweep.apply(1 << (r.bit_length() - 1), k)  # the highest hot bit
+            r = sweep.value(i)
+        for j in range(n):
+            if j != k and (r >> j) & 1:
+                sweep.apply(1 << k, j)
+    else:
+        r ^= i
+        if r:
+            s = r.bit_length() - 1
+            others = [j for j in range(n) if j != s and (r >> j) & 1]
+            for j in others:
+                sweep.apply(1 << s, j)
+            sweep.apply(i, s)
+            for j in reversed(others):
+                sweep.apply(1 << s, j)

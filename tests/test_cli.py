@@ -190,6 +190,23 @@ class TestSynth:
         assert "exceeded" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "1e7", "soon"])
+    def test_timeout_must_be_positive_and_finite(self, pla_file, tmp_path, seconds, capsys):
+        out = tmp_path / "x.qasm"
+        with pytest.raises(SystemExit) as err:
+            run_synth(pla_file, out, "--method", "esop", "--timeout", seconds)
+        assert err.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", cli.PLA_METHODS)
+    def test_pla_without_cubes(self, tmp_path, method):
+        source = tmp_path / "empty.pla"
+        source.write_text(".i 2\n.o 1\n.e\n")
+        out = tmp_path / "empty.qasm"
+        assert run_synth(source, out, "--method", method) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["gate_count"] == 0
+
     def test_synth_with_generous_timeout(self, pla_file, tmp_path):
         out = tmp_path / "t.qasm"
         assert run_synth(pla_file, out, "--method", "esop",
@@ -569,6 +586,15 @@ class TestBench:
         assert code == 1
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].split(",")[2] == "timeout"
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "1e7"])
+    def test_timeout_must_be_positive_and_finite(self, pla_file, seconds, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--functions", str(pla_file), "--methods", "esop",
+                  "--timeout", seconds])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--timeout" in captured.err
 
     def test_unknown_method(self, pla_file, capsys):
         code = main(["bench", "--functions", str(pla_file),

@@ -227,6 +227,13 @@ class TestPipelines:
         assert circ.num_qubits == 3
         assert {g.kind for g in circ.gates} <= {"rx", "rz"}
 
+    @pytest.mark.parametrize("encoding", ["angle", "improved-angle"])
+    def test_angle_memory_without_cubes(self, encoding):
+        # every address holds 0, which costs no gates
+        circ = qrom_pipeline(parse_pla(".i 2\n.o 1\n.e\n"), encoding=encoding)
+        assert (circ.num_qubits, circ.gates) == (3, ())
+        assert circ.labels == ("a0", "a1", "d0")
+
     def test_unknown_encoding(self):
         with pytest.raises(ValueError, match="unknown encoding"):
             qrom_pipeline(parse_pla(self.PLA), encoding="phase")

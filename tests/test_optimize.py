@@ -201,7 +201,7 @@ class TestGraycode:
         assert kinds == {"rz", "x"}
         circ_rx = circuit(2, *uc_run("rx", 1, (0,), [0.3, 0.7]))
         kinds = {g.kind for g in graycode_optimize(circ_rx).gates}
-        assert kinds == {"rx", "cz"}
+        assert kinds == {"rx", "z"}
 
     def test_incomplete_run_padded(self):
         circ = circuit(2, ry(0.8, 1, ((0, True),)))
@@ -273,7 +273,7 @@ def reference_graycode(circ):
             out.append(cz(q, target) if kind == "rx" else x(target, (q,)))
         cancelled = []
         for gate in out:
-            if cancelled and cancelled[-1] == gate and gate.kind in ("cz", "x"):
+            if cancelled and cancelled[-1] == gate and gate.kind in ("z", "x"):
                 cancelled.pop()
             else:
                 cancelled.append(gate)
@@ -454,7 +454,7 @@ class TestLowerToUniform:
 
 
 QUBITS = 5
-KINDS = ("x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure")
+KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure")
 
 
 @st.composite
@@ -466,9 +466,7 @@ def gates(draw):
         return Gate("measure", tuple(targets))
     target = draw(st.integers(0, QUBITS - 1))
     others = [q for q in range(QUBITS) if q != target]
-    # cz names a controlled Z, so it needs a control
-    qubits = draw(st.lists(st.sampled_from(others), unique=True,
-                           min_size=1 if kind == "cz" else 0, max_size=4))
+    qubits = draw(st.lists(st.sampled_from(others), unique=True, max_size=4))
     # sorted, as the synthesizers emit them, so that Toffoli chains of
     # different gates share control pairs
     controls = tuple((q, draw(st.booleans())) for q in sorted(qubits))

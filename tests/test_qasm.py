@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsynth.circuit import Circuit, Gate, h, lower_negative_controls, measure, ry, rz, x
+from qsynth.circuit import (
+    GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, lower_negative_controls, measure, ry, rz, x,
+)
 from qsynth.errors import UnsupportedGateForGateset, UnsupportedStatement
 from qsynth.esop import to_esop, synth_esop
 from qsynth.optimize import lower_to_uniform
@@ -89,7 +93,7 @@ class TestUniformGateset:
 
     @pytest.mark.parametrize("gate", [
         Gate("z", (0,)),
-        Gate("cz", (1,), ((0, True),)),
+        cz(0, 1),
         Gate("sx", (0,)),
         Gate("x", (2,), ((0, True), (1, True))),
         Gate("ry", (1,), ((0, True),), 0.5),
@@ -112,7 +116,7 @@ class TestUniformGateset:
 
 class TestParse:
     def test_round_trip_gates(self):
-        circ = circuit(3, x(2, (0, 1)), ry(0.25, 1), Gate("cz", (1,), ((0, True),)))
+        circ = circuit(3, x(2, (0, 1)), ry(0.25, 1), cz(0, 1))
         parsed = parse_qasm(emit_qasm(circ))
         assert parsed.num_qubits == 3
         assert parsed.gates == circ.gates
@@ -215,6 +219,39 @@ class TestByteStability:
             got = run_statevector(parsed, initial=3)
             np.testing.assert_allclose(got.amplitudes, want.amplitudes,
                                        atol=1e-12)
+
+
+@st.composite
+def one_target_circuits(draw):
+    """Circuits of 1-5 qubits over every gate kind, 0-3 controls of mixed polarity.
+
+    ``measure`` takes a single target: the parser returns one gate per
+    measured qubit, so a multi-target measure would come back split.
+    """
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        target = draw(st.integers(0, n - 1))
+        if kind == "measure":
+            gates.append(measure(target))
+            continue
+        others = [q for q in range(n) if q != target]
+        chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
+                               unique=True)) if others else []
+        controls = tuple((q, draw(st.booleans())) for q in chosen)
+        angle = draw(st.floats(-6.0, 6.0)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, (target,), controls, angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(one_target_circuits())
+def test_parse_gives_back_the_emitted_gates(circ):
+    # the emitter writes the X-framed circuit, so that is what reads back
+    assert parse_qasm(emit_qasm(circ)).gates == lower_negative_controls(circ).gates
+    uniform = lower_to_uniform(circ)
+    assert parse_qasm(emit_qasm(uniform, "uniform")).gates == uniform.gates
 
 
 class TestDefinitionSemantics:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth import simulate
-from qsynth.circuit import Circuit, Gate, h, lower_negative_controls, measure, ry, x
+from qsynth.circuit import Circuit, Gate, cz, h, lower_negative_controls, measure, ry, x
 from qsynth.encoding import read_pmf, synth_amplitude
-from qsynth.errors import NonClassicalGate, NonConvergent, TooManyQubits
+from qsynth.errors import NonClassicalGate, NonConvergent, SizeLimitExceeded, TooManyQubits
 from qsynth.funcprep import Pmf, normalize_pmf
 from qsynth.optimize import graycode_optimize, lower_to_uniform
 from qsynth.qasm import emit_qasm, parse_qasm
@@ -29,7 +29,7 @@ from qsynth.simulate import (
 
 from conftest import bench_path, random_circuit, unitary
 
-SV_KINDS = ("x", "h", "z", "cz", "rx", "ry", "rz", "sx", "sxdg", "measure")
+SV_KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure")
 
 
 def circuit(num_qubits, *gates):
@@ -102,6 +102,15 @@ class TestRunReversible:
         assert [run_reversible(circ, w) for w in words] == want
         with pytest.raises(ValueError):
             run_reversible_table(circ, [1 << 70])
+
+    @pytest.mark.parametrize("num_qubits", [5, 70])
+    def test_full_domain_past_row_cap(self, monkeypatch, num_qubits):
+        monkeypatch.setenv("QSYNTH_MAX_ROWS", "16")
+        with pytest.raises(SizeLimitExceeded, match="cap is 16"):
+            run_reversible_table(circuit(num_qubits, x(0)))
+        # listed words are not capped, and 2^4 rows fit
+        assert run_reversible_table(circuit(num_qubits, x(0)), [0]) == [1 << (num_qubits - 1)]
+        assert run_reversible_table(circuit(4, x(0))) == [w ^ 8 for w in range(16)]
 
 
 class TestRunStatevector:
@@ -192,7 +201,7 @@ def flipped_circuit(rng, n, num_gates):
             continue
         target = rng.randrange(n)
         pool = [q for q in range(n) if q != target]
-        k = rng.randint(1 if kind == "cz" else 0, min(3, len(pool)))
+        k = rng.randint(0, min(3, len(pool)))
         controls = tuple((q, rng.random() < 0.5) for q in sorted(rng.sample(pool, k)))
         angle = rng.uniform(-6.0, 6.0) if kind in ("rx", "ry", "rz") else None
         gates.append(Gate(kind, (target,), controls, angle))
@@ -402,7 +411,7 @@ def random_state_prefix(draw, n):
     gates = []
     for q in range(n):
         gates += [Gate("rx", (q,), (), draw(angle)), Gate("rz", (q,), (), draw(angle))]
-    gates += [Gate("cz", (q + 1,), ((q, True),)) for q in range(n - 1)]
+    gates += [cz(q, q + 1) for q in range(n - 1)]
     gates += [Gate("ry", (q,), (), draw(angle)) for q in range(n)]
     return gates
 

@@ -7,7 +7,8 @@ qubits.  Gates carry an optional set of controls; each control is a
 emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
 one), and a gate count is ``len(circuit)``.  Rotation kinds carry an
-angle in radians; no other kind does.
+angle in radians; no other kind does.  A ``Gate`` is a plain record:
+the ``Circuit`` it joins checks it, once per distinct gate object.
 """
 
 from __future__ import annotations
@@ -22,33 +23,12 @@ GATE_KINDS = frozenset({"x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure"
 
 @dataclass(frozen=True)
 class Gate:
+    """A plain record; the ``Circuit`` it joins checks it."""
+
     kind: str
     targets: tuple[int, ...]
     controls: tuple[tuple[int, bool], ...] = ()
     angle: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not self.targets:
-            raise ValueError("gate needs at least one target")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("repeated target qubit")
-        control_qubits = [q for q, _ in self.controls]
-        if len(set(control_qubits)) != len(control_qubits):
-            raise ValueError("repeated control qubit")
-        if set(control_qubits) & set(self.targets):
-            raise ValueError("control and target qubits overlap")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} needs an angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} does not take an angle")
-        if self.kind == "measure":
-            if self.controls:
-                raise ValueError("measurement cannot be controlled")
-        elif len(self.targets) != 1:
-            raise ValueError(f"{self.kind} takes exactly one target")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -147,6 +127,8 @@ class Circuit:
     ``gates`` may repeat one immutable Gate instance any number of times
     (lowered circuits do, heavily); whole-circuit walks that do real work
     per gate do it once per distinct object (see ``_per_gate``).
+    Construction is the one place that checks gates, so a gate from
+    ``extend``, ``replace`` or ``parse_qasm`` meets every rule.
     """
 
     num_qubits: int
@@ -154,13 +136,24 @@ class Circuit:
     labels: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_qubits <= 0:
+        n = self.num_qubits
+        if n <= 0:
             raise ValueError("circuit needs at least one qubit")
         for g in _distinct(self.gates):
-            for q in g.qubits:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"gate touches qubit {q} outside 0..{self.num_qubits - 1}")
-        if self.labels and len(self.labels) != self.num_qubits:
+            if g.kind not in GATE_KINDS:
+                raise ValueError(f"unknown gate kind {g.kind!r}")
+            if g.kind == "measure" and g.controls:
+                raise ValueError("measurement cannot be controlled")
+            if len(g.targets) != 1 and not (g.kind == "measure" and g.targets):
+                raise ValueError(f"{g} needs one target (measure: one or more)")
+            if (g.angle is None) == (g.kind in ROTATION_KINDS):
+                raise ValueError(f"{g}: rotations, and only rotations, take an angle")
+            qs = {q for q, _ in g.controls}.union(g.targets)  # g.qubits, without a tuple
+            if len(qs) != len(g.controls) + len(g.targets):
+                raise ValueError(f"{g} uses a qubit twice")
+            if not 0 <= min(qs) <= max(qs) < n:
+                raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
+        if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
 
     def __len__(self) -> int:

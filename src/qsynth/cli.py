@@ -36,7 +36,7 @@ from .funcprep import assign_dont_cares, expand, normalize_pmf, prepare_bijectio
 from .optimize import PASSES, apply_passes, lower_to_uniform
 from .pla import parse_pla
 from .qasm import emit_qasm, parse_qasm
-from .simulate import run_reversible_table, run_statevector, sample
+from .simulate import _distribution_of, run_reversible_table, sample
 from .stats import g_statistic, js_divergence, kl_divergence
 from .tbs import synth_tbs_basic, synth_tbs_rm
 
@@ -134,8 +134,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if method != "amplitude":
             raise ValueError("--qubits applies to .pmf sources")
         bins = len(read_pmf(source.read_text()))
-        if bins != 1 << args.qubits:
-            raise ValueError(f"{source.name} holds {bins} bins, not 2^{args.qubits}")
+        if args.qubits != (bins - 1).bit_length() or bins != 1 << args.qubits:
+            raise ValueError(f"--qubits {args.qubits} does not fit {source.name}, "
+                             f"which holds {bins} bins")
     opt = _parse_opt(args.opt)
 
     if args.timeout is not None:
@@ -204,9 +205,7 @@ def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
 def _verify_encoded(circ: Circuit, source: Path, shots: int,
                     seed: int) -> dict:
     target = normalize_pmf(read_pmf(source.read_text()), mode="probability").probs
-    state = run_statevector(circ)
-    measured = circ.measured_qubits()
-    dist = state.distribution(measured if measured else None)
+    dist, _ = _distribution_of(circ)
     if dist.size < len(target):
         raise VerificationFailed(
             f"circuit yields {dist.size} outcomes but the PMF has {len(target)} bins")

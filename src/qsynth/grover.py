@@ -21,7 +21,7 @@ from .errors import AllSolutions, NoSolutions
 from .esop import EsopSpec, _cover_to_xor, synth_esop
 from .funcprep import expand
 from .pla import PlaTable
-from .simulate import run_statevector, sample
+from .simulate import _distribution_of, sample
 
 SUIT_BITS = {"clubs": "00", "hearts": "01", "diamonds": "10", "spades": "11"}
 CARD_BITS = 6
@@ -126,8 +126,7 @@ def iteration_sweep(spec: GroverSpec, k_max: int, seed: int = 0) -> list[SweepRo
     for k in range(k_max + 1):
         circ = build_grover(GroverSpec(n=spec.n, predicate=spec.predicate,
                                        k=k, shots=spec.shots))
-        state = run_statevector(circ)
-        dist = state.distribution(circ.measured_qubits())
+        dist, _ = _distribution_of(circ)
         p_sim = math.fsum(dist[s] for s in sols)
         hist = sample(dist, spec.shots, seed=seed + k)
         hits = sum(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,8 +369,8 @@ def sample(obj, shots: int, seed: int | None = None) -> CountHistogram:
     measurement order; bare circuits and states over all qubits.  The same
     seed always reproduces the same histogram.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    if not isinstance(shots, numbers.Integral) or not 0 < shots < 1 << 63:  # numpy's int64
+        raise ValueError(f"shots must be an integer in 1..2^63-1, got {shots!r}")
     probs, num_bits = _distribution_of(obj)
     probs = np.where(probs < _SAMPLE_FLOOR, 0.0, probs)
     total = probs.sum()

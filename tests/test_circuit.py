@@ -1,5 +1,6 @@
 """Gate and circuit containers, metrics, negative-control lowering."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,27 +26,25 @@ from qsynth.circuit import (
     rz,
     x,
 )
+from qsynth.qasm import parse_qasm
 
 from conftest import random_circuit, unitary
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate("warp", (0,))
-    with pytest.raises(ValueError):
-        Gate("x", ())
-    with pytest.raises(ValueError):
-        Gate("x", (0,), ((0, True),))       # control overlaps target
-    with pytest.raises(ValueError):
-        Gate("x", (0,), ((1, True), (1, False)))
-    with pytest.raises(ValueError):
-        Gate("rx", (0,))                    # missing angle
-    with pytest.raises(ValueError):
-        Gate("x", (0,), angle=1.0)          # angle on a fixed gate
-    with pytest.raises(ValueError):
-        Gate("measure", (0,), ((1, True),))
-    with pytest.raises(ValueError):
-        Gate("h", (0, 1))
+    # a Gate is a plain record: the circuit it joins rejects it
+    for gate in (
+        Gate("warp", (0,)),
+        Gate("x", ()),
+        Gate("x", (0,), ((0, True),)),       # control overlaps target
+        Gate("x", (0,), ((1, True), (1, False))),
+        Gate("rx", (0,)),                    # missing angle
+        Gate("x", (0,), angle=1.0),          # angle on a fixed gate
+        Gate("measure", (0,), ((1, True),)),
+        Gate("h", (0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            Circuit(2, (gate,))
 
 
 def test_helpers_build_expected_gates():
@@ -107,7 +106,7 @@ def test_depth_empty():
 def test_cz_needs_a_control():
     assert cz(0, 1) == Gate("z", (1,), ((0, True),))
     with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
-        Gate("cz", (1,), ((0, True),))
+        Circuit(2, (Gate("cz", (1,), ((0, True),)),))
 
 
 def test_lower_negative_controls_removes_them(rng):
@@ -246,3 +245,80 @@ def test_metrics_matches_per_gate_reference(circ):
     m = metrics(circ)
     assert m == reference_metrics(circ)
     assert (complexity(circ), depth(circ)) == (m.complexity, m.depth)
+
+
+def reference_gate_check(g: Gate, n: int) -> None:
+    """The checks before they moved into ``Circuit``: the former
+    ``Gate.__post_init__``, then the circuit's qubit-range loop."""
+    if g.kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    if not g.targets:
+        raise ValueError("gate needs at least one target")
+    if len(set(g.targets)) != len(g.targets):
+        raise ValueError("repeated target qubit")
+    control_qubits = [q for q, _ in g.controls]
+    if len(set(control_qubits)) != len(control_qubits):
+        raise ValueError("repeated control qubit")
+    if set(control_qubits) & set(g.targets):
+        raise ValueError("control and target qubits overlap")
+    if g.kind in ROTATION_KINDS:
+        if g.angle is None:
+            raise ValueError(f"{g.kind} needs an angle")
+    elif g.angle is not None:
+        raise ValueError(f"{g.kind} does not take an angle")
+    if g.kind == "measure":
+        if g.controls:
+            raise ValueError("measurement cannot be controlled")
+    elif len(g.targets) != 1:
+        raise ValueError(f"{g.kind} takes exactly one target")
+    for q in g.qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"gate touches qubit {q} outside 0..{n - 1}")
+
+
+@st.composite
+def any_gates(draw):
+    """(gate, n): any kind or an unknown one, 0-3 targets, 0-3 controls,
+    qubits in -1..n, and an angle or none, valid or not.
+
+    Most gates have one target, half keep every qubit inside 0..n-1 and
+    half repeat none, so each rule meets gates that break only it.
+    """
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1) if draw(st.booleans()) else st.integers(-1, n)
+    qubits = draw(st.lists(qubit, max_size=6, unique=draw(st.booleans())))
+    split = draw(st.sampled_from((1, 1, 0, 2, 3)))
+    targets = tuple(qubits[:split])
+    controls = tuple((q, draw(st.booleans())) for q in qubits[split:split + 3])
+    kind = draw(st.sampled_from(sorted(GATE_KINDS) + ["warp"]))
+    angle = draw(st.none() | st.floats(-6.0, 6.0))
+    return Gate(kind, targets, controls, angle), n
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(any_gates())
+def test_circuit_checks_match_reference(case):
+    g, n = case
+    try:
+        reference_gate_check(g, n)
+    except ValueError:
+        # the message names the gate, so it comes from a rule, not a builtin
+        with pytest.raises(ValueError, match=re.escape(g.kind)):
+            Circuit(n, (g,))
+    else:
+        assert Circuit(n, (g, g)).gates == (g, g)
+
+
+@pytest.mark.parametrize("join", [
+    lambda g: Circuit(2, (g,)),
+    lambda g: Circuit(2, (h(0),)).extend([g]),
+    lambda g: replace(Circuit(2), gates=(h(1), g)),
+], ids=["init", "extend", "replace"])
+def test_bad_gate_rejected_where_it_joins(join):
+    with pytest.raises(ValueError, match=r"Gate\(kind='x'.* uses a qubit twice"):
+        join(Gate("x", (0,), ((0, True),)))
+
+
+def test_parse_qasm_rejects_a_repeated_operand():
+    with pytest.raises(ValueError, match="twice"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n")

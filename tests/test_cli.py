@@ -107,6 +107,12 @@ class TestSynth:
         assert run_synth(pmf_file, out, "--qubits", "3") == 4
         assert "bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("qubits", ["-1", "1000000000000"])
+    def test_qubits_out_of_range(self, pmf_file, tmp_path, capsys, qubits):
+        # neither is shifted: 1 << -1 raises, 1 << 10**12 asks for 125 GB
+        assert run_synth(pmf_file, tmp_path / "hill.qasm", "--qubits", qubits) == 4
+        assert f"--qubits {qubits} does not fit hill.pmf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("height", ["nan", "inf"])
     def test_non_finite_height(self, tmp_path, height, capsys):
         source = tmp_path / "bad.pmf"
@@ -452,6 +458,19 @@ class TestVerify:
         source.write_text("1\n1\n1\n1\n")
         assert main(["verify", str(out), str(source)]) == 4
         assert "qubit 0 is listed more than once" in capsys.readouterr().err
+
+    def test_shots_past_int64(self, pmf_file, tmp_path, capsys):
+        out = tmp_path / "amp.qasm"
+        run_synth(pmf_file, out)
+        capsys.readouterr()
+        assert main(["verify", str(out), str(pmf_file), "--shots", str(10 ** 20)]) == 4
+        assert "shots must be an integer in 1..2^63-1" in capsys.readouterr().err
+
+    def test_gate_repeating_a_qubit(self, pla_file, tmp_path, capsys):
+        out = tmp_path / "bad.qasm"
+        out.write_text("OPENQASM 2.0;\nqreg q[5];\ncx q[0],q[0];\n")
+        assert main(["verify", str(out), str(pla_file), "--method", "esop"]) == 4
+        assert "uses a qubit twice" in capsys.readouterr().err
 
     def test_report_written_to_file(self, pla_file, tmp_path, capsys):
         out = tmp_path / "w.qasm"

@@ -289,6 +289,17 @@ class TestSample:
         with pytest.raises(ValueError):
             sample([1.0], 0)
 
+    def test_fractional_shots_rejected(self):
+        # 1.5 used to draw one shot but record 1.5, so empirical() summed to 2/3
+        with pytest.raises(ValueError, match="integer"):
+            sample([0.5, 0.5], 1.5)
+
+    def test_shots_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="2\\^63-1"):
+            sample([0.5, 0.5], 1 << 63)
+        most = (1 << 63) - 1
+        assert sum(sample([0.5, 0.5], most, seed=0).counts.values()) == most
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
             sample([0.5, 0.4], 10)

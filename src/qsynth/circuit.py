@@ -108,16 +108,13 @@ def _per_gate(gates, fn) -> Iterator:
     return map(cache.__getitem__, ids)
 
 
-def _rewrite(circuit: Circuit, expand, extra: int = 0) -> Circuit:
+def _rewrite(circuit: Circuit, expand) -> Circuit:
     """``circuit`` with each gate replaced by ``expand(gate)``.
 
     Each distinct gate object is expanded once, so the output repeats
-    one expansion's Gate objects wherever its input gate recurs.  The
-    ``extra`` appended qubits are ancillas labelled ``anc0, anc1, ...``.
+    one expansion's Gate objects wherever its input gate recurs.
     """
-    gates = tuple(chain.from_iterable(_per_gate(circuit.gates, expand)))
-    labels = circuit.labels + tuple(f"anc{i}" for i in range(extra)) if circuit.labels else ()
-    return Circuit(circuit.num_qubits + extra, gates, labels)
+    return replace(circuit, gates=tuple(chain.from_iterable(_per_gate(circuit.gates, expand))))
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,8 @@ class Circuit:
         if n <= 0:
             raise ValueError("circuit needs at least one qubit")
         for g in _distinct(self.gates):
+            if not (isinstance(g.targets, tuple) and isinstance(g.controls, tuple)):
+                raise ValueError(f"{g}: targets and controls must be tuples")
             if g.kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
             if g.kind == "measure" and g.controls:

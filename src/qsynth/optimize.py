@@ -12,12 +12,13 @@ import functools
 import itertools
 import math
 from dataclasses import replace
+from operator import itemgetter
 
 from .circuit import (
     ROTATION_KINDS,
     Circuit,
     Gate,
-    _distinct,
+    _per_gate,
     _rewrite,
     cz,
     h,
@@ -71,29 +72,36 @@ def remove_double_x(circuit: Circuit) -> Circuit:
 def _ladder(circuit: Circuit, wants) -> Circuit:
     """Reduce each gate that ``wants`` picks to one control by a Toffoli chain.
 
-    With controls c1..ck the chain computes c1*c2 -> a1, c3*a1 -> a2, ...
-    onto k-1 ancillas appended to ``circuit`` and shared by every picked
-    gate; the original control polarities ride on the chain.  The gate,
-    controlled by the last ancilla alone, sits between the chain and its
-    mirror, which returns every ancilla to 0.  Each step is one
-    ``Gate("x", (a,), (c1, c2))`` per (control, control, ancilla) for
-    the whole call, so gates that share their leading controls share
-    their steps' objects.
+    One walk groups each maximal run of consecutive picked gates that
+    share one control tuple (polarities included, so a frame X or a
+    polarity change ends a run).  With controls c1..ck the run's chain
+    computes c1*c2 -> a1, c3*a1 -> a2, ... onto k-1 ancillas appended to
+    ``circuit`` and shared by every run; the control polarities ride on
+    the chain.  Each gate of the run, controlled by the last ancilla
+    alone, sits between the chain and its mirror, which returns every
+    ancilla to 0.  Each step is one ``Gate("x", (a,), (c1, c2))`` per
+    (control, control, ancilla) for the whole call, so chains that share
+    their leading controls share their steps' objects, and each distinct
+    gate's ancilla-controlled copy is built once.
     """
     n = circuit.num_qubits
     step = functools.cache(lambda c1, c2, a: Gate("x", (a,), (c1, c2)))
 
-    def expand(gate: Gate):
+    def lift(gate: Gate):
         if not wants(gate):
-            return (gate,)
-        c = gate.controls
-        chain = [step(c[0], c[1], n)] + [step(c[i], (n + i - 2, True), n + i - 1)
-                                         for i in range(2, len(c))]
-        middle = Gate(gate.kind, gate.targets, ((n + len(c) - 2, True),), gate.angle)
-        return chain + [middle] + chain[::-1]
+            return None, gate
+        return gate.controls, Gate(gate.kind, gate.targets,
+                                   ((n + gate.num_controls - 2, True),), gate.angle)
 
-    extra = max((g.num_controls - 1 for g in _distinct(circuit.gates) if wants(g)), default=0)
-    return _rewrite(circuit, expand, extra)
+    out: list[Gate] = []
+    extra = 0
+    for c, run in itertools.groupby(_per_gate(circuit.gates, lift), itemgetter(0)):
+        steps = [] if c is None else [step(c[0], c[1], n)] + [
+            step(c[i], (n + i - 2, True), n + i - 1) for i in range(2, len(c))]
+        extra = max(extra, len(steps))
+        out += [*steps, *(gate for _, gate in run), *steps[::-1]]
+    labels = circuit.labels + tuple(f"anc{i}" for i in range(extra)) if circuit.labels else ()
+    return Circuit(n + extra, tuple(out), labels)
 
 
 def _five_gate(gate: Gate) -> list[Gate]:
@@ -114,8 +122,9 @@ def _five_gate(gate: Gate) -> list[Gate]:
 def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
     """Reduce control counts of X gates.
 
-    ``to_true_toffoli`` rewrites every X with three or more controls as
-    ``_ladder``'s chain of two-control Toffolis over shared appended
+    ``to_true_toffoli`` rewrites every X with three or more controls
+    through ``_ladder``: one chain of exact two-control Toffolis per run
+    of such X gates that share a control tuple, over shared appended
     ancillas (all returned to 0).  ``toffoli_to_5gate`` rewrites every
     two-control X as two CX plus two controlled square-root-of-X and one
     controlled inverse square root, after ``lower_negative_controls`` has
@@ -309,6 +318,16 @@ def _toffoli_body(a: int, b: int, t: int) -> list[Gate]:
     ]
 
 
+def _relative_toffoli(a: int, b: int, t: int) -> list[Gate]:
+    """Toffoli times diag(-1 on |a=1, b=0, t=1>) over {ry, cx}; its own inverse.
+
+    For chain steps only, whose mirror cancels the phase (Barenco et al.
+    1995, section 6.2): 7 gates where the exact body takes 15.
+    """
+    return [ry(_T, t), x(t, (b,)), ry(_T, t), x(t, (a,)),
+            ry(-_T, t), x(t, (b,)), ry(-_T, t)]
+
+
 def _single_control_abc(gate: Gate) -> list[Gate]:
     """One positive control, any non-X kind, over {h, cx, rx, ry, rz}."""
     (c, _), = gate.controls
@@ -353,21 +372,26 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     Negative controls become positive through the X frame of
     ``lower_negative_controls``; every gate with two or more controls
     but a Toffoli goes through ``_ladder``'s chain (with shared appended
-    ancillas).  What is left has at most two controls: Toffolis become
-    the standard CX/RZ/H block, single-controlled gates are conjugated
-    down to controlled-RZ form, and exotic bare gates are translated to
-    rotations.
+    ancillas), one chain per run of gates that share a control tuple.
+    What is left has at most two controls.  A Toffoli onto an appended
+    ancilla is a chain step and becomes the 7-gate relative-phase
+    Toffoli, whose phase the step's mirror cancels; any other Toffoli (a
+    payload of the input) becomes the exact 15-gate CX/RZ/H block.
+    Single-controlled gates are conjugated down to controlled-RZ form,
+    and exotic bare gates are translated to rotations.
 
     Each distinct gate object is lowered once, and every Toffoli body
     once per (control, control, target); the output tuple repeats those
     immutable Gate instances wherever the same expansion recurs.
     """
+    n = circuit.num_qubits
     toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
 
     def lower(gate: Gate) -> list[Gate]:
         if gate.num_controls == 2:
             (a, _), (b, _) = gate.controls
-            return toffoli(a, b, gate.targets[0])
+            t = gate.targets[0]
+            return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)
         if gate.num_controls == 1:
             return [gate] if gate.kind == "x" else _single_control_abc(gate)
         return _bare_translation(gate)

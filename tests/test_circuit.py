@@ -319,6 +319,16 @@ def test_bad_gate_rejected_where_it_joins(join):
         join(Gate("x", (0,), ((0, True),)))
 
 
+@pytest.mark.parametrize("gate", [
+    Gate("x", [0]),
+    Gate("x", (1,), [(0, True)]),
+], ids=["targets", "controls"])
+def test_list_fields_rejected(gate):
+    # a list field would break tuple concatenation in Gate.qubits later
+    with pytest.raises(ValueError, match=r"Gate\(kind='x'.* must be tuples"):
+        Circuit(2, (gate,))
+
+
 def test_parse_qasm_rejects_a_repeated_operand():
     with pytest.raises(ValueError, match="twice"):
         parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n")

@@ -20,6 +20,7 @@ from qsynth.optimize import lower_to_uniform
 from qsynth.qasm import emit_qasm, parse_qasm
 
 from conftest import BENCH_DIR, bench_path
+from sparse_rows import row_mismatches
 from test_esop import reference_evaluate
 
 PLA = """.i 3
@@ -234,10 +235,10 @@ class TestSynth:
 
     @pytest.mark.parametrize("name,method,sha256", [
         ("clip", "esop",
-         "5990fcf417ca0625c158c04f29a895883d10e3dd2dbfd65e50d7dc12d0d310d3"),
+         "64d70803b590f1d36be5afb3aa1d5e272dcbdf3312e6e1d291683a9e85748d56"),
         ("Z9sym", "angle",
-         "571aee8ae09a626a1b97e0c2ef0207b6ffea1c6e14cd3bdfc68faa8015a46a37"),
-    ])
+         "47202249276477d3a3b2677b66fa3584b60e113665ac8a6651dbd5147445d163"),
+    ], ids=["clip-esop", "Z9sym-angle"])
     def test_uniform_output_pinned(self, tmp_path, name, method, sha256):
         out = tmp_path / "u.qasm"
         assert run_synth(bench_path(f"{name}.pla"), out, "--method", method,
@@ -245,9 +246,9 @@ class TestSynth:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("gateset,sha256", [
-        ("natural", "4b954993df6927ad2710e589b0bae645521e44696539698e366292d6fe696e5c"),
-        ("uniform", "21b547a0697dd9b8fff46aad474891a5da36d7c9899b46b8c54f85c6a4fde33a"),
-    ])
+        ("natural", "99e89b7a863657caba01b357d46eb4ac717c94555088b883c9dd079dbf122af9"),
+        ("uniform", "99c579531af9d303485edcac4c02453763f764d7bb9baf736d199ae69c28ac54"),
+    ], ids=["natural", "uniform"])
     def test_mcx_ladder_output_pinned(self, tmp_path, gateset, sha256):
         out = tmp_path / "l.qasm"
         assert run_synth(bench_path("clip.pla"), out, "--method", "esop",
@@ -263,6 +264,14 @@ class TestSynth:
                          "--gateset", "uniform") == 0
         lowered = lower_to_uniform(parse_qasm(natural.read_text()))
         assert uniform.read_text() == emit_qasm(lowered, "uniform")
+
+    def test_uniform_esop_rows_match_natural(self, tmp_path):
+        # a replay of every input row that shares no code with qsynth
+        natural, uniform = tmp_path / "n.qasm", tmp_path / "u.qasm"
+        assert run_synth(bench_path("squar5.pla"), natural, "--method", "esop") == 0
+        assert run_synth(bench_path("squar5.pla"), uniform, "--method", "esop",
+                         "--gateset", "uniform") == 0
+        assert row_mismatches(natural.read_text(), uniform.read_text(), inputs=5) == 0
 
     def test_ir_gate_count_recorded(self, tmp_path):
         source = bench_path("clip.pla")

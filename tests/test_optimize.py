@@ -121,10 +121,10 @@ def test_chains_share_toffoli_steps():
     assert ladder.gates[0] == x(7, (0, 1))
     assert ladder.gates[0] is ladder.gates[4] is ladder.gates[5] is ladder.gates[9]
     assert ladder.gates[1] != ladder.gates[6]
-    # 15 gates per Toffoli body, 61 per three-control X
+    # 7 gates per relative-phase chain step, 29 per three-control X
     low = lower_to_uniform(circ).gates
-    assert all(a is b for a, b in zip(low[:15], low[61:76], strict=True))
-    assert all(a is b for a, b in zip(low[:15], low[-15:], strict=True))
+    assert all(a is b for a, b in zip(low[:7], low[29:36], strict=True))
+    assert all(a is b for a, b in zip(low[:7], low[-7:], strict=True))
 
 
 class TestFiveGate:
@@ -387,6 +387,42 @@ class TestSymmetric:
         np.testing.assert_allclose(state.probabilities(), (0.5, 0.5), atol=1e-12)
 
 
+RUN_KINDS = ("x", "rx", "ry", "rz", "z", "h")
+
+
+@st.composite
+def shared_control_runs(draw):
+    """3-6 qubits; runs of 1-4 gates sharing 2-4 mixed-polarity controls.
+
+    Each gate of a run has its own target and kind.  Zero to two
+    separator gates, with at most one control, sit between runs, and a
+    run may reuse the previous run's control qubits with new polarities.
+    """
+    def gate(target, controls):
+        # X half the time, as in ESOP cubes, so that X runs of one control
+        # qubit set but new polarities often meet
+        kind = draw(st.one_of(st.just("x"), st.sampled_from(RUN_KINDS)))
+        angle = draw(st.floats(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
+        return Gate(kind, (target,), controls, angle)
+
+    n = draw(st.integers(3, 6))
+    gates = []
+    qubits = ()
+    for _ in range(draw(st.integers(1, 3))):
+        if not qubits or draw(st.booleans()):
+            k = draw(st.integers(2, min(4, n - 1)))
+            qubits = sorted(draw(st.permutations(range(n)))[:k])
+        controls = tuple((q, draw(st.booleans())) for q in qubits)
+        free = [q for q in range(n) if q not in qubits]
+        for _ in range(draw(st.integers(1, 4))):
+            gates.append(gate(draw(st.sampled_from(free)), controls))
+        for _ in range(draw(st.integers(0, 2))):
+            target, control = draw(st.permutations(range(n)))[:2]
+            polarity = draw(st.booleans())
+            gates.append(gate(target, ((control, polarity),) if draw(st.booleans()) else ()))
+    return Circuit(num_qubits=n, gates=tuple(gates))
+
+
 class TestLowerToUniform:
     ALLOWED = {"rx", "ry", "rz", "x", "h", "measure"}
 
@@ -451,6 +487,13 @@ class TestLowerToUniform:
         for gateset, c in (("natural", circ), ("uniform", lower_to_uniform(circ))):
             text = emit_qasm(c, gateset=gateset)
             assert emit_qasm(parse_qasm(text), gateset=gateset) == text
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(circ=shared_control_runs())
+    def test_runs_of_shared_controls_property(self, circ):
+        self.check(circ)
+        ladder = decompose_mcx(circ, "to_true_toffoli")
+        assert same_up_to_phase(project_unitary(ladder, circ.num_qubits), unitary(circ))
 
 
 QUBITS = 5

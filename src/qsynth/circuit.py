@@ -33,7 +33,9 @@ class Gate:
     @property
     def qubits(self) -> tuple[int, ...]:
         """Every qubit the gate touches, controls first."""
-        return tuple(q for q, _ in self.controls) + self.targets
+        if not self.controls:
+            return self.targets
+        return tuple([q for q, _ in self.controls]) + self.targets
 
     @property
     def num_controls(self) -> int:
@@ -147,10 +149,14 @@ class Circuit:
                 raise ValueError(f"{g} needs one target (measure: one or more)")
             if (g.angle is None) == (g.kind in ROTATION_KINDS):
                 raise ValueError(f"{g}: rotations, and only rotations, take an angle")
-            qs = {q for q, _ in g.controls}.union(g.targets)  # g.qubits, without a tuple
-            if len(qs) != len(g.controls) + len(g.targets):
-                raise ValueError(f"{g} uses a qubit twice")
-            if not 0 <= min(qs) <= max(qs) < n:
+            if not g.controls and len(g.targets) == 1:  # most gates: no qubit set to build
+                lo = hi = g.targets[0]
+            else:
+                qs = {q for q, _ in g.controls}.union(g.targets)  # g.qubits, without a tuple
+                if len(qs) != len(g.controls) + len(g.targets):
+                    raise ValueError(f"{g} uses a qubit twice")
+                lo, hi = min(qs), max(qs)
+            if not 0 <= lo <= hi < n:
                 raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
@@ -241,7 +247,8 @@ def lower_negative_controls(circuit: Circuit) -> Circuit:
         needs = ([(q, not pos) for q, pos in gate.controls]
                  + [(q, False) for q in gate.targets if gate.kind != "x"])
         positive = tuple((q, True) for q, _ in gate.controls)
-        return needs, gate if positive == gate.controls else replace(gate, controls=positive)
+        return needs, gate if positive == gate.controls else Gate(
+            gate.kind, gate.targets, positive, gate.angle)
 
     for needs, gate in _per_gate(circuit.gates, step):
         for q, bit in needs:

@@ -11,15 +11,18 @@ global phase only.
 The parser reads files shaped like the emitter's output: definitions are
 skipped by name (never expanded) and applications map straight back to
 IR gates: parsing gives back the emitted gates, and emit -> parse ->
-emit is byte-stable.  Anything outside that statement repertoire raises
-UnsupportedStatement.
+emit is byte-stable for finite angles.  Anything else, a parameter that
+is not a finite float literal included, raises UnsupportedStatement.
+Both directions work once per gate shape (name and operands), so a
+rotation of a known shape costs one repr or one float of its angle.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
-from .circuit import GATE_KINDS, Circuit, Gate, _per_gate, lower_negative_controls
+from .circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, _per_gate, lower_negative_controls
 from .errors import UnsupportedGateForGateset, UnsupportedStatement
 
 UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h", "measure"})
@@ -175,33 +178,33 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     and raises UnsupportedGateForGateset on anything else; emission never
     rewrites gates to fit.  In both modes ``lower_negative_controls``
     makes negative controls positive through its X frame.  Angles are
-    printed with repr so parsing them back is exact.  Each distinct Gate
-    object is checked and formatted once.
+    printed with repr so parsing them back is exact.  The check, the name
+    and the operand list are worked out once per (kind, targets,
+    controls), and each distinct Gate object is formatted once.
     """
     if gateset not in ("natural", "uniform"):
         raise ValueError(f"unknown gateset {gateset!r}")
     circuit = lower_negative_controls(circuit)
     names: set[str] = set()
+    shapes: dict = {}  # (kind, targets, controls) -> its line, or the text around its angle
+
+    def shape(kind: str, targets, controls) -> str | tuple[str, str]:
+        if gateset == "uniform" and (kind not in UNIFORM_GATESET or len(controls) > (kind == "x")):
+            raise UnsupportedGateForGateset(
+                f"{kind} with {len(controls)} controls is outside the uniform gateset")
+        name = _mc_name(kind, len(controls))
+        names.add(name)
+        operands = ",".join([f"q[{q}]" for q, _ in controls] + [f"q[{q}]" for q in targets])
+        if kind in ROTATION_KINDS:
+            return f"{name}(", f") {operands};"
+        return f"{name} {operands};"
 
     def application(gate: Gate) -> str | None:
         if gate.kind == "measure":
             return None  # numbered by position, below
-        if gateset == "uniform":
-            ok = (
-                gate.kind in UNIFORM_GATESET
-                and gate.num_controls <= (1 if gate.kind == "x" else 0)
-            )
-            if not ok:
-                raise UnsupportedGateForGateset(
-                    f"{gate.kind} with {gate.num_controls} controls is outside "
-                    "the uniform gateset"
-                )
-        name = _mc_name(gate.kind, gate.num_controls)
-        names.add(name)
-        operands = ",".join(f"q[{q}]" for q in gate.qubits)
-        if gate.angle is not None:
-            return f"{name}({gate.angle!r}) {operands};"
-        return f"{name} {operands};"
+        key = gate.kind, gate.targets, gate.controls
+        text = shapes.get(key) or shapes.setdefault(key, shape(*key))
+        return text if gate.angle is None else f"{text[0]}{gate.angle!r}{text[1]}"
 
     apps = list(_per_gate(circuit.gates, application))
     measure_count = 0
@@ -256,6 +259,16 @@ def _resolve_name(name: str) -> tuple[str, int]:
     raise UnsupportedStatement(f"unknown gate {name!r}")
 
 
+def _angle(param: str, stmt: str) -> float:
+    """``param`` read as a finite float, else UnsupportedStatement."""
+    try:
+        if math.isfinite(angle := float(param)):
+            return angle
+    except ValueError:
+        pass
+    raise UnsupportedStatement(f"parameter of {stmt!r} is not a finite number")
+
+
 def _parse_application(stmt: str) -> Gate:
     """The gate of one measurement or gate application statement."""
     m = _MEASURE_RE.fullmatch(stmt)
@@ -274,10 +287,10 @@ def _parse_application(stmt: str) -> Gate:
     param = m.group("param")
     angle = None
     if param is not None:
-        if kind not in ("rx", "ry", "rz"):
+        if kind not in ROTATION_KINDS:
             raise UnsupportedStatement(f"unexpected parameter on {m.group('name')}")
-        angle = float(param)
-    elif kind in ("rx", "ry", "rz"):
+        angle = _angle(param, stmt)
+    elif kind in ROTATION_KINDS:
         raise UnsupportedStatement(f"{m.group('name')} needs a parameter")
     controls = tuple((q, True) for q in qubits[:-1])
     return Gate(kind, (qubits[-1],), controls, angle)
@@ -290,7 +303,10 @@ def parse_qasm(text: str) -> Circuit:
     so parsing never expands macro bodies.  Statements outside the
     emitter's repertoire raise UnsupportedStatement, and so does a j-th
     measurement that writes anything but bit j of the one declared creg.
-    Repeated statements share one Gate instance.
+    Repeated statements share one Gate instance.  A statement equal to an
+    earlier one but for the text between its parentheses reuses that
+    one's kind and qubits, so its own work is reading the parameter,
+    which must be a finite float literal.
     """
     labels: tuple[str, ...] = ()
     stripped: list[str] = []
@@ -316,16 +332,26 @@ def parse_qasm(text: str) -> Circuit:
     measured = 0
     gates: list[Gate] = []
     gate_of: dict[str, Gate] = {}  # a repeated statement yields one shared Gate
+    shape_of: dict[tuple[str, str], tuple] = {}  # text around a parameter -> the rest of its Gate
     for stmt in statements[1:]:
         gate = gate_of.get(stmt)
         if gate is None:
-            m = _REG_RE.fullmatch(stmt)
-            if m:
-                if m.group(1) in size:
-                    raise UnsupportedStatement(f"multiple {m.group(1)}reg declarations")
-                size[m.group(1)] = int(m.group(2))
-                continue
-            gate = gate_of[stmt] = _parse_application(stmt)
+            head, paren, rest = stmt.partition("(")
+            param, _, tail = rest.partition(")")
+            shape = paren and shape_of.get((head, tail))
+            if shape:
+                gate = Gate(*shape, _angle(param, stmt))
+            else:
+                m = _REG_RE.fullmatch(stmt)
+                if m:
+                    if m.group(1) in size:
+                        raise UnsupportedStatement(f"multiple {m.group(1)}reg declarations")
+                    size[m.group(1)] = int(m.group(2))
+                    continue
+                gate = _parse_application(stmt)
+                if paren:
+                    shape_of[head, tail] = gate.kind, gate.targets, gate.controls
+            gate_of[stmt] = gate
         if gate.kind == "measure":  # the distribution reads measurement j as bit j
             clbit = int(_MEASURE_RE.fullmatch(stmt).group(2))
             if clbit != measured or measured >= size.get("c", 0):

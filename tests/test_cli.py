@@ -475,6 +475,15 @@ class TestVerify:
         assert main(["verify", str(out), str(pmf_file), "--shots", str(10 ** 20)]) == 4
         assert "shots must be an integer in 1..2^63-1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["pi/2", "inf", "nan"])
+    def test_bad_rotation_parameter(self, tmp_path, capsys, param):
+        out = tmp_path / "bad.qasm"
+        out.write_text(f"OPENQASM 2.0;\nqreg q[1];\nry({param}) q[0];\n")
+        source = tmp_path / "two.pmf"
+        source.write_text("1\n1\n")
+        assert main(["verify", str(out), str(source)]) == 4
+        assert capsys.readouterr().err.startswith("error: UnsupportedStatement:")
+
     def test_gate_repeating_a_qubit(self, pla_file, tmp_path, capsys):
         out = tmp_path / "bad.qasm"
         out.write_text("OPENQASM 2.0;\nqreg q[5];\ncx q[0],q[0];\n")

@@ -1,6 +1,7 @@
 """Serialization to self-contained OpenQASM 2.0 and parsing back."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qsynth.pla import parse_pla
 from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.simulate import run_statevector
 
+import qasm_reference as reference
 from conftest import random_circuit, unitary
 
 
@@ -171,6 +173,21 @@ class TestParse:
         with pytest.raises(UnsupportedStatement, match="parameter"):
             parse_qasm("OPENQASM 2.0;\nqreg q[1];\nx(0.5) q[0];\n")
 
+    @pytest.mark.parametrize("stmts", [
+        "ry(pi/2) q[0];",
+        "ry(inf) q[0];",
+        "ry(nan) q[0];",
+        # the shape is known from the first statement, so only the parameter is read
+        "ry(0.5) q[0];\nry(-inf) q[0];",
+        "ry(0.5) q[0];\nry(1e999) q[0];",
+        "ry(0.5) q[0];\nry() q[0];",
+    ], ids=["pi/2", "inf", "nan", "known-shape--inf", "known-shape-1e999", "known-shape-empty"])
+    def test_parameter_must_be_a_finite_float(self, stmts):
+        bad = stmts.splitlines()[-1].rstrip(";")
+        with pytest.raises(UnsupportedStatement,
+                           match=re.escape(f"{bad!r} is not a finite number")):
+            parse_qasm("OPENQASM 2.0;\nqreg q[1];\n" + stmts)
+
     def test_rotation_needs_parameter(self):
         with pytest.raises(UnsupportedStatement, match="parameter"):
             parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz q[0];\n")
@@ -259,3 +276,111 @@ class TestDefinitionSemantics:
         # H = RY(pi/4) Z RY(-pi/4), so the negative rotation is applied first
         from qsynth.qasm import _BASE_DEFS
         assert "ry(-pi/4) b; cz a,b; ry(pi/4) b;" in _BASE_DEFS["ch"][0]
+
+
+ODD_ANGLES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.pi)
+angles = st.sampled_from(ODD_ANGLES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def repeated_shapes(draw):
+    """Circuits of 1-4 qubits whose gates take one of 1-4 shapes (kind,
+    target, 0-3 controls of mixed polarity), each rotation with an angle
+    of its own; some gate objects recur, measurements (1-n targets) and
+    labels come and go."""
+    n = draw(st.integers(1, 4))
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(ROTATION_KINDS))
+                    | st.sampled_from(sorted(GATE_KINDS - {"measure"})))
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
+                               unique=True)) if others else []
+        shapes.append((kind, (target,), tuple((q, draw(st.booleans())) for q in chosen)))
+    gates = []
+    for _ in range(draw(st.integers(0, 14))):
+        pick = draw(st.integers(0, len(shapes)))
+        if pick == len(shapes):
+            qubits = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            gates.append(measure(*draw(qubits)))
+        elif gates and draw(st.integers(0, 4)) == 0:
+            gates.append(gates[draw(st.integers(0, len(gates) - 1))])
+        else:
+            kind, targets, controls = shapes[pick]
+            angle = draw(angles) if kind in ROTATION_KINDS else None
+            gates.append(Gate(kind, targets, controls, angle))
+    labels = tuple(f"b{q}" for q in range(n)) if draw(st.booleans()) else ()
+    return Circuit(n, tuple(gates), labels)
+
+
+def failure(fn, *args):
+    """The class of the exception ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as err:  # noqa: BLE001 - the class is the result
+        return type(err)
+    return None
+
+
+def read_back(circ):
+    """Each gate's fields, the angle as ``float.hex``, and which gates are one object."""
+    first: dict[int, int] = {}
+    return (circ.num_qubits, circ.labels,
+            [(g.kind, g.targets, g.controls, None if g.angle is None else g.angle.hex())
+             for g in circ.gates],
+            [first.setdefault(id(g), i) for i, g in enumerate(circ.gates)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_shapes())
+def test_read_write_match_reference(circ):
+    # the shape caches change the work per statement, never the bytes or the gates
+    text = emit_qasm(circ)
+    assert text == reference.emit_qasm(circ)
+    parsed = parse_qasm(text)
+    assert read_back(parsed) == read_back(reference.parse_qasm(text))
+    assert emit_qasm(parsed) == text
+    uniform = failure(emit_qasm, circ, "uniform")
+    assert uniform is failure(reference.emit_qasm, circ, "uniform")
+    if uniform is None:
+        assert emit_qasm(circ, "uniform") == reference.emit_qasm(circ, "uniform")
+
+
+BAD_PARAMETERS = ("pi/2", "inf", "-inf", "nan", "1e999", "", "0.5,0.5", "(0.5")
+
+
+@st.composite
+def malformed_streams(draw):
+    """(QASM text, whether its one fault is a parameter that is not a
+    finite float literal): an emitted circuit with bad statements spliced
+    in among its applications, often right after a good statement of
+    the same name, so that the parser meets the fault on a known shape."""
+    circ = draw(repeated_shapes())
+    k = draw(st.integers(0, circ.num_qubits - 1))
+    rot = draw(st.sampled_from(sorted(ROTATION_KINDS)))
+    good = f"{rot}({draw(angles)!r}) q[{k}];"
+    fault = draw(st.sampled_from(("parameter", "plain", "missing", "operands")))
+    bad = {
+        "parameter": [good, f"{rot}({draw(st.sampled_from(BAD_PARAMETERS))}) q[{k}];"],
+        "plain": [draw(st.sampled_from((f"x(0.5) q[{k}];", f"h(-0.0) q[{k}];",
+                                         "cx(1) q[0],q[1];")))],
+        "missing": [draw(st.sampled_from((f"{rot} q[{k}];", "crz q[0],q[1];")))],
+        "operands": [good, draw(st.sampled_from((f"{rot}(0.25) q[{k}],q[{k}];",
+                                                  "cry(0.5) q[0];", "ccx q[0],q[1];")))],
+    }[fault]
+    lines = emit_qasm(circ).splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("qreg")) + 1
+    at = draw(st.integers(start, len(lines)))
+    return "\n".join(lines[:at] + bad + lines[at:]) + "\n", fault == "parameter"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(malformed_streams())
+def test_malformed_streams_fail_alike(stream):
+    text, bad_parameter = stream
+    # the reference reads a bad parameter with a bare float: a ValueError
+    # for "pi/2", and "inf" or "nan" go through as angles
+    want = UnsupportedStatement if bad_parameter else failure(reference.parse_qasm, text)
+    assert want is not None
+    assert failure(parse_qasm, text) is want

@@ -13,14 +13,11 @@ from .circuit import (
     Circuit,
     Gate,
     Metrics,
-    complexity,
-    depth,
     lower_negative_controls,
     metrics,
 )
 from .encoding import (
     AngleTree,
-    QromSpec,
     angle_tree,
     qrng_pipeline,
     qrom_pipeline,
@@ -30,7 +27,7 @@ from .encoding import (
     synth_basis,
 )
 from .errors import QsynthError
-from .esop import EsopSpec, evaluate_esop, evaluate_esop_table, synth_esop, to_esop
+from .esop import EsopSpec, evaluate_esop_table, synth_esop, to_esop
 from .funcprep import (
     Pmf,
     RttResult,
@@ -54,20 +51,19 @@ from .grover import (
 from .optimize import (
     PASSES,
     apply_passes,
-    decompose_mcx,
     graycode_optimize,
     lower_to_uniform,
+    mcx_ladder,
     remove_double_x,
     symmetric_optimize,
+    toffoli_five,
 )
 from .pla import PlaTable, parse_pla, write_pla
 from .qasm import emit_qasm, parse_qasm
 from .simulate import (
     CountHistogram,
     Statevector,
-    calibrate_shots,
     calibrate_shots_report,
-    run_reversible,
     run_reversible_table,
     run_statevector,
     sample,
@@ -88,7 +84,6 @@ __all__ = [
     "PASSES",
     "PlaTable",
     "Pmf",
-    "QromSpec",
     "QsynthError",
     "RttResult",
     "Statevector",
@@ -97,14 +92,9 @@ __all__ = [
     "apply_passes",
     "assign_dont_cares",
     "build_grover",
-    "calibrate_shots",
     "calibrate_shots_report",
     "card_predicate",
-    "complexity",
-    "decompose_mcx",
-    "depth",
     "emit_qasm",
-    "evaluate_esop",
     "evaluate_esop_table",
     "expand",
     "g_statistic",
@@ -116,6 +106,7 @@ __all__ = [
     "lower_to_uniform",
     "make_one_to_one",
     "make_onto",
+    "mcx_ladder",
     "metrics",
     "normalize",
     "normalize_pmf",
@@ -127,7 +118,6 @@ __all__ = [
     "read_pmf",
     "remove_double_x",
     "rm_spectrum",
-    "run_reversible",
     "run_reversible_table",
     "run_statevector",
     "sample",
@@ -141,5 +131,6 @@ __all__ = [
     "synth_tbs_rm",
     "to_esop",
     "to_truth_table",
+    "toffoli_five",
     "write_pla",
 ]

@@ -6,9 +6,11 @@ qubits.  Gates carry an optional set of controls; each control is a
 ``lower_negative_controls`` makes it positive through an X frame that
 emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
-one), and a gate count is ``len(circuit)``.  Rotation kinds carry an
-angle in radians; no other kind does.  A ``Gate`` is a plain record:
-the ``Circuit`` it joins checks it, once per distinct gate object.
+one), a gate count is ``len(circuit)``, a control count is
+``len(gate.controls)``, and each other size is a field of ``metrics``.
+Rotation kinds carry an angle in radians; no other kind does.  A ``Gate``
+is a plain record: the ``Circuit`` it joins checks it, once per distinct
+gate object.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class Gate:
         if not self.controls:
             return self.targets
         return tuple([q for q, _ in self.controls]) + self.targets
-
-    @property
-    def num_controls(self) -> int:
-        return len(self.controls)
 
 
 def _coerce_controls(controls) -> tuple[tuple[int, bool], ...]:
@@ -173,16 +171,6 @@ class Circuit:
             if g.kind == "measure":
                 out.extend(g.targets)
         return tuple(out)
-
-
-def complexity(circuit: Circuit) -> int:
-    """Sum over gates of (controls + targets)."""
-    return metrics(circuit).complexity
-
-
-def depth(circuit: Circuit) -> int:
-    """Longest chain of gates that pairwise share a qubit (see ``metrics``)."""
-    return metrics(circuit).depth
 
 
 @dataclass(frozen=True)

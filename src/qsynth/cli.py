@@ -11,10 +11,11 @@ Three subcommands share one synthesis core:
 * ``bench`` runs a function x method grid, each cell in its own child
   process with a wall-clock timeout, and reports a CSV or JSON table.
 
-Exit codes: 0 success / all cells ok, 1 bench grid had failing cells,
-2 usage, 3 verification failed, 4 domain error, 5 timeout.  All output
-files are byte-deterministic for fixed inputs except for the
-``synth_time_us`` field, which records the actual wall time.
+Exit codes: 0 success / all cells ok, 1 bench grid had failing cells or
+an unexpected exception (under ``synth --timeout`` too), 2 usage, 3
+verification failed, 4 domain error, 5 timeout.  All output files are
+byte-deterministic for fixed inputs except for the ``synth_time_us``
+field, which records the actual wall time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import errors
 from .circuit import Circuit, lower_negative_controls, metrics
 from .encoding import qrng_pipeline, qrom_pipeline, read_pmf
 from .errors import QsynthError, SizeLimitExceeded, VerificationFailed
@@ -145,9 +147,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if status == "timeout":
             print(f"error: synthesis exceeded {args.timeout} s", file=sys.stderr)
             return EXIT_TIMEOUT
-        if status != "ok":
-            print(f"error: {payload['error']}: {payload['detail']}", file=sys.stderr)
-            return EXIT_DOMAIN
+        if status == "crashed":  # what main lets out: its last line, exit 1
+            print(f"{payload['error']}: {payload['detail']}", file=sys.stderr)
+            return 1
+        if status != "ok":  # main reports it as in process; a non-QsynthError by its text
+            raise getattr(errors, payload["error"], ValueError)(payload["detail"])
         qasm_text, report = payload["qasm"], payload["report"]
     else:
         circ, report = _synthesize(source, method, opt, args.gateset)

@@ -22,12 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, Gate, rx, rz
-from .errors import (
-    DuplicateAddress,
-    NotNormalized,
-    NotPowerOfTwo,
-    ValueOutOfRange,
-)
+from .errors import NotNormalized, NotPowerOfTwo, ValueOutOfRange
 from .funcprep import (
     NormalizedWords,
     Pmf,
@@ -44,61 +39,41 @@ from .pla import PlaTable
 PMF_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class QromSpec:
-    """A read-only memory image: distinct addresses mapping to data words.
-
-    Addresses not listed implicitly hold the word 0, which costs no gates
-    in any encoding.
-    """
-
-    n: int
-    m: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for a, x in self.pairs:
-            if a in seen:
-                raise DuplicateAddress(f"address {a} appears twice")
-            seen.add(a)
-            if not 0 <= a < (1 << self.n):
-                raise ValueError(f"address {a} does not fit in {self.n} bits")
-            if not 0 <= x < (1 << self.m):
-                raise ValueError(f"word {x} does not fit in {self.m} bits")
-
-
 def _address_controls(n: int, a: int) -> tuple[tuple[int, bool], ...]:
     return tuple((q, bool((a >> (n - 1 - q)) & 1)) for q in range(n))
 
 
-def synth_basis(spec: QromSpec) -> Circuit:
+def synth_basis(table: TruthTable) -> Circuit:
     """One multi-controlled X per stored hot bit, full address controls.
 
-    Uses n address plus m data qubits; preparing |a> and measuring the
-    data register reads the stored word with probability 1.  Each pair is
-    a dash-free cube, so this is ``synth_esop`` with memory labels.
+    ``table`` is the memory image: an address it leaves undefined holds
+    the word 0, which costs no gates in any encoding.  Uses n address
+    plus m data qubits; preparing |a> and measuring the data register
+    reads the stored word with probability 1.  Each defined address, in
+    ascending order, is a dash-free cube, so this is ``synth_esop`` with
+    memory labels.
     """
-    cubes = tuple((format(a, f"0{spec.n}b"), format(x, f"0{spec.m}b"))
-                  for a, x in spec.pairs)
-    labels = tuple(f"a{i}" for i in range(spec.n)) + tuple(f"d{i}" for i in range(spec.m))
-    return replace(synth_esop(EsopSpec(spec.n, spec.m, cubes)), labels=labels)
+    cubes = tuple((format(a, f"0{table.n}b"), format(x, f"0{table.m}b"))
+                  for a, x in sorted(table.entries.items()))
+    labels = tuple(f"a{i}" for i in range(table.n)) + tuple(f"d{i}" for i in range(table.m))
+    return replace(synth_esop(EsopSpec(table.n, table.m, cubes)), labels=labels)
 
 
-def synth_angle(spec: QromSpec, normalized: NormalizedWords) -> Circuit:
+def synth_angle(table: TruthTable, normalized: NormalizedWords) -> Circuit:
     """Rotation memory on n address qubits plus one data qubit.
 
-    ``normalized`` supplies one value per pair, in pair order, and each
-    address gets an (RX, RZ) angle pair, both under its full address
-    controls.  Plain mode: pairs at even positions store their value as
-    the RX angle (so P(data=1 | that address) = sin^2(value)) and pairs
-    at odd positions as the RZ phase; values must lie in [0, 2*pi).
+    ``normalized`` supplies one value per defined address of ``table``,
+    in ascending address order, and each address gets an (RX, RZ) angle
+    pair, both under its full address controls.  Plain mode: addresses
+    at even positions store their value as the RX angle (so
+    P(data=1 | that address) = sin^2(value)) and addresses at odd
+    positions as the RZ phase; values must lie in [0, 2*pi).
     Float-like words select improved mode, which stores the significand
     as the RX angle and the integer exponent as the RZ phase.  A zero
     angle emits no gate, and a zero word emits neither.
     """
-    if len(normalized.values) != len(spec.pairs):
-        raise ValueError(f"{len(normalized.values)} values for {len(spec.pairs)} pairs")
+    if len(normalized.values) != len(table.entries):
+        raise ValueError(f"{len(normalized.values)} values for {len(table.entries)} addresses")
     if normalized.scheme == "floatlike":
         # a zero significand marks the zero word, whose exponent is not stored
         angles = [(2.0 * s, float(e) if s else 0.0)
@@ -109,16 +84,16 @@ def synth_angle(spec: QromSpec, normalized: NormalizedWords) -> Circuit:
             raise ValueOutOfRange(f"angle value {bad[0]!r} outside [0, 2*pi)")
         angles = [(2.0 * v, 0.0) if j % 2 == 0 else (0.0, v)
                   for j, v in enumerate(normalized.values)]
-    data = spec.n
+    data = table.n
     gates = []
-    for (a, _), (x_angle, z_angle) in zip(spec.pairs, angles):
-        controls = _address_controls(spec.n, a)
+    for a, (x_angle, z_angle) in zip(sorted(table.entries), angles):
+        controls = _address_controls(table.n, a)
         if x_angle:
             gates.append(rx(x_angle, data, controls))
         if z_angle:
             gates.append(rz(z_angle, data, controls))
-    labels = tuple(f"a{i}" for i in range(spec.n)) + ("d0",)
-    return Circuit(num_qubits=spec.n + 1, gates=tuple(gates), labels=labels)
+    labels = tuple(f"a{i}" for i in range(table.n)) + ("d0",)
+    return Circuit(num_qubits=table.n + 1, gates=tuple(gates), labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +177,6 @@ def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
 # pipelines and ingestion
 # ---------------------------------------------------------------------------
 
-def spec_from_table(table: TruthTable) -> QromSpec:
-    """Memory image of a flat table: one pair per defined address."""
-    pairs = tuple(sorted(table.entries.items()))
-    return QromSpec(n=table.n, m=table.m, pairs=pairs)
-
-
 def qrom_pipeline(table: PlaTable, encoding: str = "basis") -> Circuit:
     """Cube list to memory circuit: expand, flatten, encode.
 
@@ -217,16 +186,15 @@ def qrom_pipeline(table: PlaTable, encoding: str = "basis") -> Circuit:
     encoding uses the float-like split into significand and exponent.
     """
     flat = to_truth_table(assign_dont_cares(expand(table)))
-    spec = spec_from_table(flat)
     if encoding == "basis":
-        return synth_basis(spec)
+        return synth_basis(flat)
     schemes = {"angle": "fixedpoint01", "improved-angle": "floatlike"}
     if encoding not in schemes:
         raise ValueError(f"unknown encoding {encoding!r}")
-    words = [x for _, x in spec.pairs]
+    words = [flat.entries[a] for a in sorted(flat.entries)]
     if not words:  # every address holds 0, which costs no gates
-        return synth_angle(spec, NormalizedWords("fixedpoint01", spec.m, ()))
-    return synth_angle(spec, normalize(words, schemes[encoding], width=spec.m))
+        return synth_angle(flat, NormalizedWords("fixedpoint01", flat.m, ()))
+    return synth_angle(flat, normalize(words, schemes[encoding], width=flat.m))
 
 
 def qrng_pipeline(bins) -> Circuit:

@@ -43,11 +43,8 @@ class EmptyInput(QsynthError):
 
 
 class AllZero(QsynthError):
-    """Every bin of a would-be distribution is zero."""
-
-
-class AllZeroWithFactor(QsynthError):
-    """Factor normalization is undefined when the maximum word is zero."""
+    """Every value is zero: a would-be distribution's bins, or the words
+    that factor normalization would divide by their largest."""
 
 
 class NotPowerOfTwo(QsynthError):
@@ -70,10 +67,6 @@ class NotBijective(QsynthError):
 
 class NoPivot(QsynthError):
     """No admissible pivot column exists for a spectral synthesis step."""
-
-
-class DuplicateAddress(QsynthError):
-    """Two memory rows share an address but store different words."""
 
 
 class ValueOutOfRange(QsynthError):

@@ -168,11 +168,6 @@ def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) ->
     return EsopSpec(n=table.n, m=table.m, cubes=tuple(cubes))
 
 
-def evaluate_esop(spec: EsopSpec, x: int) -> int:
-    """XOR evaluation of the cube list on one input word; see evaluate_esop_table."""
-    return evaluate_esop_table(spec, [x])[0]
-
-
 def evaluate_esop_table(spec: EsopSpec, words) -> list[int]:
     """XOR evaluation of the cube list on every word of ``words``.
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AllZero,
-    AllZeroWithFactor,
     ConflictingRows,
     EmptyInput,
     NotInjective,
@@ -165,13 +164,9 @@ class RttResult:
     source_m: int
     input_map: dict[int, int] = field(repr=False)
 
-    @property
-    def width(self) -> int:
-        return self.table.n
-
     def extract_output(self, word: int) -> int:
         """Strip garbage columns from an embedded output word."""
-        return word >> (self.width - self.source_m)
+        return word >> (self.table.n - self.source_m)
 
 
 def make_one_to_one(table: TruthTable) -> RttResult:
@@ -370,7 +365,7 @@ def normalize(
     if scheme == "factor":
         v_max = max(ints)
         if v_max == 0:
-            raise AllZeroWithFactor("factor normalization with all-zero words")
+            raise AllZero("factor normalization with all-zero words")
         if strict_halfopen:
             f_norm = TWO_PI / (v_max + 1)
             return NormalizedWords(

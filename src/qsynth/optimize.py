@@ -91,7 +91,7 @@ def _ladder(circuit: Circuit, wants) -> Circuit:
         if not wants(gate):
             return None, gate
         return gate.controls, Gate(gate.kind, gate.targets,
-                                   ((n + gate.num_controls - 2, True),), gate.angle)
+                                   ((n + len(gate.controls) - 2, True),), gate.angle)
 
     out: list[Gate] = []
     extra = 0
@@ -106,7 +106,7 @@ def _ladder(circuit: Circuit, wants) -> Circuit:
 
 def _five_gate(gate: Gate) -> list[Gate]:
     """Exact five-gate form of a positive Toffoli (V = sqrt of X); others pass."""
-    if gate.kind != "x" or gate.num_controls != 2:
+    if gate.kind != "x" or len(gate.controls) != 2:
         return [gate]
     (a, _), (b, _) = gate.controls
     t = gate.targets[0]
@@ -119,22 +119,19 @@ def _five_gate(gate: Gate) -> list[Gate]:
     ]
 
 
-def decompose_mcx(circuit: Circuit, mode: str) -> Circuit:
-    """Reduce control counts of X gates.
+def mcx_ladder(circuit: Circuit) -> Circuit:
+    """Reduce each X with three or more controls to true Toffolis.
 
-    ``to_true_toffoli`` rewrites every X with three or more controls
-    through ``_ladder``: one chain of exact two-control Toffolis per run
-    of such X gates that share a control tuple, over shared appended
-    ancillas (all returned to 0).  ``toffoli_to_5gate`` rewrites every
-    two-control X as two CX plus two controlled square-root-of-X and one
-    controlled inverse square root, after ``lower_negative_controls`` has
-    made every control positive.
+    ``_ladder`` builds one chain of exact two-control Toffolis per run of
+    such X gates that share a control tuple, over shared clean ancillas.
     """
-    if mode == "to_true_toffoli":
-        return _ladder(circuit, lambda g: g.kind == "x" and g.num_controls >= 3)
-    if mode == "toffoli_to_5gate":
-        return _rewrite(lower_negative_controls(circuit), _five_gate)
-    raise ValueError(f"unknown decomposition mode {mode!r}")
+    return _ladder(circuit, lambda g: g.kind == "x" and len(g.controls) >= 3)
+
+
+def toffoli_five(circuit: Circuit) -> Circuit:
+    """Rewrite each two-control X as two CX, two controlled sqrt(X) and one
+    controlled inverse, after ``lower_negative_controls`` made controls positive."""
+    return _rewrite(lower_negative_controls(circuit), _five_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +234,10 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     A run over k controls costs O(k * 2^k) exact integer operations (a
     Walsh-Hadamard butterfly), and its angles are bit for bit the
     correctly rounded sums of the O(4^k) sign-system solution.
+
+    Precondition: run it before emission, as ``--opt graycode`` does.  Read
+    back from QASM, frame X gates part the rotations and each becomes a
+    2^k-gate run: 701,075 gates for a 2^10-bin PMF, 2,045 as synthesized.
     """
     out: list[Gate] = []
     for key, run in itertools.groupby(circuit.gates, _run_key):
@@ -388,23 +389,23 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
 
     def lower(gate: Gate) -> list[Gate]:
-        if gate.num_controls == 2:
+        if len(gate.controls) == 2:
             (a, _), (b, _) = gate.controls
             t = gate.targets[0]
             return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)
-        if gate.num_controls == 1:
+        if len(gate.controls) == 1:
             return [gate] if gate.kind == "x" else _single_control_abc(gate)
         return _bare_translation(gate)
 
     laddered = _ladder(lower_negative_controls(circuit),
-                       lambda g: g.num_controls > 2 or g.num_controls == 2 and g.kind != "x")
+                       lambda g: len(g.controls) > 2 or len(g.controls) == 2 and g.kind != "x")
     return _rewrite(laddered, lower)
 
 
 PASSES = {
     "double-x": remove_double_x,
-    "mcx-ladder": lambda c: decompose_mcx(c, "to_true_toffoli"),
-    "toffoli-5": lambda c: decompose_mcx(c, "toffoli_to_5gate"),
+    "mcx-ladder": mcx_ladder,
+    "toffoli-5": toffoli_five,
     "graycode": graycode_optimize,
 }
 

@@ -277,11 +277,11 @@ def _parse_application(stmt: str) -> Gate:
     m = _APP_RE.fullmatch(stmt)
     if not m:
         raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
-    kind, num_controls = _resolve_name(m.group("name"))
+    kind, n_controls = _resolve_name(m.group("name"))
     qubits = [int(tok) for tok in _OPERAND_RE.findall(m.group("args"))]
-    if len(qubits) != num_controls + 1:
+    if len(qubits) != n_controls + 1:
         raise UnsupportedStatement(
-            f"{m.group('name')} expects {num_controls + 1} operands, "
+            f"{m.group('name')} expects {n_controls + 1} operands, "
             f"got {len(qubits)}"
         )
     param = m.group("param")

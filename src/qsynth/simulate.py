@@ -89,11 +89,6 @@ class Statevector:
         return np.transpose(marginal, order).reshape(-1)
 
 
-def run_reversible(circuit: Circuit, word: int) -> int:
-    """Propagate one basis state; see run_reversible_table."""
-    return run_reversible_table(circuit, [word])[0]
-
-
 def run_reversible_table(circuit: Circuit, words=None) -> list[int]:
     """Propagate basis states through an X-family circuit.
 
@@ -393,14 +388,6 @@ class CalibrationResult:
     g: float              # per-shot G statistic at the recommended count
     p: float              # upper-tail chi-square probability of g (1 dof)
     threshold: float
-
-
-def calibrate_shots(pmf: Pmf, circuit: Circuit | None = None, **options) -> int:
-    """The recommended shot count of ``calibrate_shots_report``.
-
-    ``options`` are that function's keyword arguments, with its defaults.
-    """
-    return calibrate_shots_report(pmf, circuit, **options).shots
 
 
 def calibrate_shots_report(pmf: Pmf, circuit: Circuit | None = None, threshold: float = 1e-3,

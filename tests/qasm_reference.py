@@ -37,14 +37,14 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
         if gateset == "uniform":
             ok = (
                 gate.kind in UNIFORM_GATESET
-                and gate.num_controls <= (1 if gate.kind == "x" else 0)
+                and len(gate.controls) <= (1 if gate.kind == "x" else 0)
             )
             if not ok:
                 raise UnsupportedGateForGateset(
-                    f"{gate.kind} with {gate.num_controls} controls is outside "
+                    f"{gate.kind} with {len(gate.controls)} controls is outside "
                     "the uniform gateset"
                 )
-        name = _mc_name(gate.kind, gate.num_controls)
+        name = _mc_name(gate.kind, len(gate.controls))
         names.add(name)
         operands = ",".join(f"q[{q}]" for q in gate.qubits)
         if gate.angle is not None:
@@ -80,11 +80,11 @@ def _parse_application(stmt: str) -> Gate:
     m = _APP_RE.fullmatch(stmt)
     if not m:
         raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
-    kind, num_controls = _resolve_name(m.group("name"))
+    kind, n_controls = _resolve_name(m.group("name"))
     qubits = [int(tok) for tok in _OPERAND_RE.findall(m.group("args"))]
-    if len(qubits) != num_controls + 1:
+    if len(qubits) != n_controls + 1:
         raise UnsupportedStatement(
-            f"{m.group('name')} expects {num_controls + 1} operands, "
+            f"{m.group('name')} expects {n_controls + 1} operands, "
             f"got {len(qubits)}"
         )
     param = m.group("param")

@@ -26,10 +26,11 @@ from qsynth.funcprep import (
 )
 from qsynth.grover import GroverSpec, build_grover, card_predicate, iteration_sweep
 from qsynth.optimize import (
-    decompose_mcx,
     graycode_optimize,
+    mcx_ladder,
     remove_double_x,
     symmetric_optimize,
+    toffoli_five,
 )
 from qsynth.pla import parse_pla, write_pla
 from qsynth.qasm import emit_qasm, parse_qasm
@@ -91,7 +92,7 @@ def test_benchmark_qubit_counts():
         onto, rtt = prepare_bijection(load_pla(name))
         circ = synth_tbs_basic(onto)
         elapsed = time.monotonic() - start
-        assert circ.num_qubits == expected == rtt.width, name
+        assert circ.num_qubits == expected == rtt.table.n, name
         assert elapsed < TIME_BUDGET_S, f"{name} tbs took {elapsed:.1f}s"
 
 
@@ -172,9 +173,9 @@ def test_optimization_soundness():
                               max_controls=3)
         ref = unitary(circ)
         assert_close(unitary(remove_double_x(circ)), ref, f"double-x #{i}")
-        ladder = decompose_mcx(circ, "to_true_toffoli")
+        ladder = mcx_ladder(circ)
         assert_close(project_unitary(ladder, qubits), ref, f"ladder #{i}")
-        assert_close(unitary(decompose_mcx(circ, "toffoli_to_5gate")), ref,
+        assert_close(unitary(toffoli_five(circ)), ref,
                      f"five-gate #{i}")
         checked += 1
 
@@ -184,7 +185,7 @@ def test_optimization_soundness():
         circ = random_circuit(rng, qubits, 24,
                               kinds=("x", "h", "rx", "ry", "rz"),
                               max_controls=4)
-        lowered = remove_double_x(decompose_mcx(circ, "to_true_toffoli"))
+        lowered = remove_double_x(mcx_ladder(circ))
         anc = lowered.num_qubits - qubits
         for word in rng.sample(range(1 << qubits), 6):
             want = run_statevector(circ, initial=word).amplitudes
@@ -197,18 +198,18 @@ def test_optimization_soundness():
 
     # multiplexed rotation runs must flatten to single-control form
     for i in range(40):
-        num_controls = rng.randint(1, 4)
-        qubits = num_controls + 1
+        n_controls = rng.randint(1, 4)
+        qubits = n_controls + 1
         order = list(range(qubits))
         rng.shuffle(order)
         target, controls = order[0], sorted(order[1:])
         kind = rng.choice(("rx", "ry", "rz"))
-        angles = [rng.uniform(0.1, 3.0) for _ in range(1 << num_controls)]
+        angles = [rng.uniform(0.1, 3.0) for _ in range(1 << n_controls)]
         circ = Circuit(num_qubits=qubits,
                        gates=tuple(multiplexed_run(kind, target, controls,
                                                    angles)))
         flat = graycode_optimize(circ)
-        assert all(g.num_controls <= 1 for g in flat.gates), f"graycode #{i}"
+        assert all(len(g.controls) <= 1 for g in flat.gates), f"graycode #{i}"
         assert_close(unitary(flat), unitary(circ), f"graycode #{i}")
         checked += 1
 
@@ -216,7 +217,7 @@ def test_optimization_soundness():
     for i in range(20):
         qubits = rng.randint(3, 5)
         circ = random_circuit(rng, qubits, 14, kinds=("x",), max_controls=2)
-        five = decompose_mcx(circ, "toffoli_to_5gate")
+        five = toffoli_five(circ)
         assert_close(unitary(five), unitary(circ), f"toffoli mix #{i}")
         checked += 1
 

@@ -14,9 +14,7 @@ from qsynth.circuit import (
     Circuit,
     Gate,
     Metrics,
-    complexity,
     cz,
-    depth,
     h,
     lower_negative_controls,
     measure,
@@ -85,22 +83,22 @@ def test_metrics_counts():
 def test_complexity_sums_controls_plus_targets():
     circ = Circuit(num_qubits=4, gates=(
         x(3, ((0, True), (1, False), (2, True))),))
-    assert complexity(circ) == 4
+    assert metrics(circ).complexity == 4
 
 
 def test_depth_parallel_gates_share_a_layer():
     circ = Circuit(num_qubits=4, gates=(x(0), x(1), x(2), x(3)))
-    assert depth(circ) == 1
+    assert metrics(circ).depth == 1
 
 
 def test_depth_chains_on_shared_qubits():
     circ = Circuit(num_qubits=3, gates=(
         x(0), x(1, ((0, True),)), x(2, ((1, True),)), x(2)))
-    assert depth(circ) == 4
+    assert metrics(circ).depth == 4
 
 
 def test_depth_empty():
-    assert depth(Circuit(num_qubits=2)) == 0
+    assert metrics(Circuit(num_qubits=2)).depth == 0
 
 
 def test_cz_needs_a_control():
@@ -242,9 +240,7 @@ def circuits_repeating_gates(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(circuits_repeating_gates())
 def test_metrics_matches_per_gate_reference(circ):
-    m = metrics(circ)
-    assert m == reference_metrics(circ)
-    assert (complexity(circ), depth(circ)) == (m.complexity, m.depth)
+    assert metrics(circ) == reference_metrics(circ)
 
 
 def reference_gate_check(g: Gate, n: int) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -173,7 +174,7 @@ class TestSynth:
         circ = parse_qasm(out.read_text())
         for gate in circ.gates:
             assert gate.kind in {"rx", "ry", "rz", "x", "h", "measure"}
-            assert gate.num_controls <= 1
+            assert len(gate.controls) <= 1
 
     def test_row_cap_environment(self, pla_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QSYNTH_MAX_ROWS", "4")
@@ -196,6 +197,43 @@ class TestSynth:
         assert code == 5
         assert "exceeded" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case, code, line", [
+        ("empty-pmf", 4, "error: no histogram lines found"),
+        ("three-bins", 4, "error: NotPowerOfTwo: 3 histogram bins is not a power of two"),
+        ("row-cap", 4, "error: SizeLimitExceeded: "),
+        ("crash", 1, "RuntimeError: worker bug"),
+    ], ids=["empty-pmf", "three-bins", "row-cap", "crash"])
+    def test_timeout_reports_failures_alike(self, tmp_path, monkeypatch, capsys,
+                                            case, code, line):
+        # --timeout synthesizes in a forked child; a failure must read as it
+        # does in process: the same stderr and the same exit code
+        source, method = tmp_path / "bins.pmf", "amplitude"
+        if case == "empty-pmf":
+            source.write_text("# no bins\n")
+        elif case == "three-bins":
+            source.write_text("1\n2\n3\n")
+        else:
+            source, method = bench_path("squar5.pla"), "tbs"
+            if case == "row-cap":
+                monkeypatch.setenv("QSYNTH_MAX_ROWS", "4")
+            else:
+                def boom(*args):
+                    raise RuntimeError("worker bug")
+                monkeypatch.setattr(cli, "_synthesize", boom)
+
+        def run(*extra):
+            try:
+                status = run_synth(source, tmp_path / "x.qasm", "--method", method, *extra)
+            except RuntimeError as exc:  # the interpreter ends on its last line, exit 1
+                print(traceback.format_exception_only(exc)[-1], end="", file=sys.stderr)
+                status = 1
+            return status, capsys.readouterr().err
+
+        plain = run()
+        assert run("--timeout", "5") == plain
+        assert plain[0] == code and plain[1].startswith(line)
+        assert not (tmp_path / "x.qasm").exists()
 
     @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "1e7", "soon"])
     def test_timeout_must_be_positive_and_finite(self, pla_file, tmp_path, seconds, capsys):

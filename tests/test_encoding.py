@@ -6,54 +6,55 @@ import numpy as np
 import pytest
 
 from qsynth.encoding import (
-    QromSpec,
     angle_tree,
     qrng_pipeline,
     qrom_pipeline,
     read_pmf,
-    spec_from_table,
     synth_amplitude,
     synth_angle,
     synth_basis,
 )
-from qsynth.errors import (
-    DuplicateAddress,
-    NotNormalized,
-    NotPowerOfTwo,
-    ValueOutOfRange,
-)
+from qsynth.errors import NotNormalized, NotPowerOfTwo, ValueOutOfRange, WidthMismatch
 from qsynth.funcprep import NormalizedWords, Pmf, TruthTable, normalize
 from qsynth.pla import parse_pla
-from qsynth.simulate import run_reversible, run_statevector
+from qsynth.simulate import run_reversible_table, run_statevector
 
 
-class TestQromSpec:
-    def test_duplicate_address_rejected(self):
-        with pytest.raises(DuplicateAddress):
-            QromSpec(n=2, m=2, pairs=((1, 2), (1, 3)))
-
+class TestMemoryImage:
     def test_address_out_of_range(self):
-        with pytest.raises(ValueError):
-            QromSpec(n=2, m=2, pairs=((4, 0),))
+        with pytest.raises(WidthMismatch):
+            TruthTable(n=2, m=2, entries={4: 0})
 
     def test_word_out_of_range(self):
-        with pytest.raises(ValueError):
-            QromSpec(n=2, m=2, pairs=((0, 4),))
+        with pytest.raises(WidthMismatch):
+            TruthTable(n=2, m=2, entries={0: 4})
 
-    def test_from_table_sorts_addresses(self):
-        table = TruthTable(n=2, m=2, entries={3: 1, 0: 2, 2: 3})
-        spec = spec_from_table(table)
-        assert spec.pairs == ((0, 2), (2, 3), (3, 1))
+    @pytest.mark.parametrize("scheme", ["basis", "fixedpoint01", "floatlike"])
+    def test_addresses_read_in_ascending_order(self, scheme):
+        words = {0: 2, 1: 5, 2: 3, 3: 7}
+        ascending = TruthTable(n=2, m=3, entries=dict(sorted(words.items())))
+        descending = TruthTable(n=2, m=3, entries=dict(sorted(words.items(), reverse=True)))
+        if scheme == "basis":
+            got, want = (synth_basis(t).gates for t in (descending, ascending))
+        else:
+            values = normalize([words[a] for a in sorted(words)], scheme, width=3)
+            got, want = (synth_angle(t, values).gates for t in (descending, ascending))
+        assert got == want
+        if scheme == "fixedpoint01":
+            # plain mode: even positions land in RX, odd ones in RZ
+            assert [(g.kind, g.controls) for g in got] == [
+                ("rx", ((0, False), (1, False))), ("rz", ((0, False), (1, True))),
+                ("rx", ((0, True), (1, False))), ("rz", ((0, True), (1, True)))]
 
 
 class TestBasis:
     def test_shape_and_labels(self):
-        circ = synth_basis(QromSpec(n=2, m=3, pairs=((0, 5),)))
+        circ = synth_basis(TruthTable(n=2, m=3, entries={0: 5}))
         assert circ.num_qubits == 5
         assert circ.labels == ("a0", "a1", "d0", "d1", "d2")
 
     def test_gate_per_hot_bit_with_full_address(self):
-        circ = synth_basis(QromSpec(n=2, m=2, pairs=((2, 3),)))
+        circ = synth_basis(TruthTable(n=2, m=2, entries={2: 3}))
         assert len(circ.gates) == 2
         for gate in circ.gates:
             assert gate.kind == "x"
@@ -63,21 +64,20 @@ class TestBasis:
     def test_readback(self, rng):
         n, m = 3, 4
         stored = {a: rng.randrange(1 << m) for a in rng.sample(range(8), 5)}
-        spec = QromSpec(n=n, m=m, pairs=tuple(sorted(stored.items())))
-        circ = synth_basis(spec)
-        for a in range(1 << n):
-            word = run_reversible(circ, a << m)
+        circ = synth_basis(TruthTable(n=n, m=m, entries=stored))
+        words = run_reversible_table(circ, [a << m for a in range(1 << n)])
+        for a, word in enumerate(words):
             assert word >> m == a
             assert word & ((1 << m) - 1) == stored.get(a, 0)
 
     def test_zero_words_cost_nothing(self):
-        circ = synth_basis(QromSpec(n=2, m=2, pairs=((0, 0), (1, 0))))
+        circ = synth_basis(TruthTable(n=2, m=2, entries={0: 0, 1: 0}))
         assert circ.gates == ()
 
 
 class TestAngle:
     def two_pair_spec(self):
-        return QromSpec(n=2, m=3, pairs=((1, 4), (2, 6)))
+        return TruthTable(n=2, m=3, entries={1: 4, 2: 6})
 
     def test_value_count_must_match(self):
         words = NormalizedWords(scheme="fixedpoint01", width=3, values=(0.5,))
@@ -109,7 +109,7 @@ class TestAngle:
     def test_rx_probability_readout(self):
         # the value stored at an even position reads back as sin^2(value)
         value = 0.6
-        spec = QromSpec(n=2, m=3, pairs=((1, 4),))
+        spec = TruthTable(n=2, m=3, entries={1: 4})
         words = NormalizedWords(scheme="fixedpoint01", width=3, values=(value,))
         circ = synth_angle(spec, normalized=words)
         hit = run_statevector(circ, initial=1 << 1).distribution(qubits=(2,))
@@ -119,7 +119,7 @@ class TestAngle:
 
     def test_improved_layout(self):
         # 0b100 -> S=2, E=0; 0b011 -> S=3, E=1; 0b000 emits nothing
-        spec = QromSpec(n=2, m=3, pairs=((0, 4), (1, 3), (2, 0)))
+        spec = TruthTable(n=2, m=3, entries={0: 4, 1: 3, 2: 0})
         words = normalize([4, 3, 0], "floatlike", width=3)
         circ = synth_angle(spec, normalized=words)
         kinds = [(g.kind, g.angle, g.controls) for g in circ.gates]
@@ -130,7 +130,7 @@ class TestAngle:
         ]
 
     def test_improved_zero_exponent_skips_rz(self):
-        spec = QromSpec(n=1, m=3, pairs=((0, 4),))
+        spec = TruthTable(n=1, m=3, entries={0: 4})
         words = normalize([4], "floatlike", width=3)
         circ = synth_angle(spec, normalized=words)
         assert [g.kind for g in circ.gates] == ["rx"]
@@ -212,8 +212,8 @@ class TestPipelines:
     def test_basis_pipeline_readback(self):
         circ = qrom_pipeline(parse_pla(self.PLA), encoding="basis")
         expected = {0: 1, 1: 2, 2: 4, 3: 7}
-        for a in range(4):
-            assert run_reversible(circ, a << 3) & 7 == expected[a]
+        words = run_reversible_table(circ, [a << 3 for a in range(4)])
+        assert [word & 7 for word in words] == [expected[a] for a in range(4)]
 
     def test_angle_pipeline_default_scheme(self):
         circ = qrom_pipeline(parse_pla(self.PLA), encoding="angle")

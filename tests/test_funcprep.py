@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qsynth.errors import (
     AllZero,
-    AllZeroWithFactor,
     EmptyInput,
     NotInjective,
     NotPowerOfTwo,
@@ -311,7 +310,7 @@ def test_factor_strict_halfopen():
 
 
 def test_factor_all_zero():
-    with pytest.raises(AllZeroWithFactor):
+    with pytest.raises(AllZero):
         normalize([0, 0], "factor")
 
 

@@ -19,7 +19,7 @@ from qsynth.grover import (
     _oracle_gates,
 )
 from qsynth.pla import PlaTable
-from qsynth.simulate import run_reversible, run_statevector
+from qsynth.simulate import run_reversible_table, run_statevector
 
 
 def predicate(n, rows):
@@ -101,8 +101,8 @@ class TestOracle:
         spec = GroverSpec(n=table.n, predicate=table, k=1)
         circ = Circuit(num_qubits=table.n + 1, gates=tuple(_oracle_gates(spec)))
         marked = set()
-        for value in range(1 << table.n):
-            out = run_reversible(circ, value << 1)
+        outs = run_reversible_table(circ, [value << 1 for value in range(1 << table.n)])
+        for value, out in enumerate(outs):
             assert out >> 1 == value
             if out & 1:
                 marked.add(value)

@@ -15,11 +15,12 @@ from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.optimize import (
     PASSES,
     apply_passes,
-    decompose_mcx,
     graycode_optimize,
     lower_to_uniform,
+    mcx_ladder,
     remove_double_x,
     symmetric_optimize,
+    toffoli_five,
 )
 from qsynth.simulate import run_statevector
 
@@ -80,44 +81,44 @@ class TestRemoveDoubleX:
 class TestMcxLadder:
     def test_three_controls_become_toffolis(self):
         circ = circuit(4, x(3, (0, 1, 2)))
-        low = decompose_mcx(circ, "to_true_toffoli")
+        low = mcx_ladder(circ)
         assert low.num_qubits == 6
         assert len(low.gates) == 5
-        assert all(g.num_controls <= 2 for g in low.gates)
+        assert all(len(g.controls) <= 2 for g in low.gates)
 
     def test_action_preserved_with_clean_ancillas(self):
         circ = circuit(4, x(3, (0, 1, 2)), x(0))
-        low = decompose_mcx(circ, "to_true_toffoli")
+        low = mcx_ladder(circ)
         assert np.allclose(project_unitary(low, 4), unitary(circ), atol=1e-12)
 
     def test_negative_polarities_ride_along(self):
         gate = Gate("x", (3,), ((0, False), (1, True), (2, False)))
         circ = circuit(4, gate)
-        low = decompose_mcx(circ, "to_true_toffoli")
+        low = mcx_ladder(circ)
         assert np.allclose(project_unitary(low, 4), unitary(circ), atol=1e-12)
 
     def test_shared_ancillas(self):
         circ = circuit(5, x(4, (0, 1, 2, 3)), x(4, (0, 1, 2)))
-        low = decompose_mcx(circ, "to_true_toffoli")
+        low = mcx_ladder(circ)
         assert low.num_qubits == 5 + 3
 
     def test_small_gates_untouched(self):
         circ = circuit(3, x(2, (0, 1)), x(1, (0,)), h(2))
-        low = decompose_mcx(circ, "to_true_toffoli")
+        low = mcx_ladder(circ)
         assert low.gates == circ.gates
         assert low.num_qubits == 3
 
     def test_labels_extended(self):
         base = Circuit(num_qubits=4, gates=(x(3, (0, 1, 2)),),
                        labels=("a", "b", "c", "d"))
-        low = decompose_mcx(base, "to_true_toffoli")
+        low = mcx_ladder(base)
         assert low.labels == ("a", "b", "c", "d", "anc0", "anc1")
 
 
 def test_chains_share_toffoli_steps():
     # both gates open their chain with the (0, 1, ancilla 7) step
     circ = circuit(7, x(5, (0, 1, 2)), x(6, (0, 1, 3)))
-    ladder = decompose_mcx(circ, "to_true_toffoli")
+    ladder = mcx_ladder(circ)
     assert ladder.gates[0] == x(7, (0, 1))
     assert ladder.gates[0] is ladder.gates[4] is ladder.gates[5] is ladder.gates[9]
     assert ladder.gates[1] != ladder.gates[6]
@@ -130,39 +131,35 @@ def test_chains_share_toffoli_steps():
 class TestFiveGate:
     def test_positive_toffoli_shape(self):
         circ = circuit(3, x(2, (0, 1)))
-        low = decompose_mcx(circ, "toffoli_to_5gate")
+        low = toffoli_five(circ)
         assert [g.kind for g in low.gates] == ["sx", "x", "sxdg", "x", "sx"]
-        assert all(g.num_controls == 1 for g in low.gates)
+        assert all(len(g.controls) == 1 for g in low.gates)
 
     def test_exact_unitary(self):
         circ = circuit(3, x(2, (0, 1)))
-        low = decompose_mcx(circ, "toffoli_to_5gate")
+        low = toffoli_five(circ)
         assert np.allclose(unitary(low), unitary(circ), atol=1e-12)
 
     def test_negative_controls_conjugated(self):
         gate = Gate("x", (2,), ((0, False), (1, True)))
         circ = circuit(3, gate)
-        low = decompose_mcx(circ, "toffoli_to_5gate")
-        assert all(g.num_controls <= 1 for g in low.gates)
+        low = toffoli_five(circ)
+        assert all(len(g.controls) <= 1 for g in low.gates)
         assert np.allclose(unitary(low), unitary(circ), atol=1e-12)
 
     def test_other_gates_pass_through(self):
         circ = circuit(3, h(0), x(1, (0,)))
-        low = decompose_mcx(circ, "toffoli_to_5gate")
+        low = toffoli_five(circ)
         assert low.gates == circ.gates
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown decomposition"):
-            decompose_mcx(circuit(1, x(0)), "fanout")
 
-
-@pytest.mark.parametrize("mode, gate", [
-    ("to_true_toffoli", x(4, (0, 1, 2, 3))),
-    ("toffoli_to_5gate", Gate("x", (2,), ((0, False), (1, True)))),
-])
-def test_decompose_mcx_repeats_one_expansion(mode, gate):
+@pytest.mark.parametrize("decompose, gate", [
+    (mcx_ladder, x(4, (0, 1, 2, 3))),
+    (toffoli_five, Gate("x", (2,), ((0, False), (1, True)))),
+], ids=["mcx_ladder", "toffoli_five"])
+def test_pass_repeats_one_expansion(decompose, gate):
     circ = circuit(5, gate, h(4), gate)
-    low = decompose_mcx(circ, mode)
+    low = decompose(circ)
     # a negative control's frame X opens before the first expansion and
     # closes after the second; h(4) leaves the frame on qubit 0 alone
     frame = sum(1 for _, pos in gate.controls if not pos)
@@ -189,7 +186,7 @@ class TestGraycode:
         angles = [rng.uniform(-2, 2) for _ in range(4)]
         circ = circuit(3, *uc_run(kind, 2, (0, 1), angles))
         flat = graycode_optimize(circ)
-        assert all(g.num_controls <= 1 for g in flat.gates)
+        assert all(len(g.controls) <= 1 for g in flat.gates)
         for gate in flat.gates:
             if gate.kind == kind:
                 assert gate.controls == ()
@@ -206,7 +203,7 @@ class TestGraycode:
     def test_incomplete_run_padded(self):
         circ = circuit(2, ry(0.8, 1, ((0, True),)))
         flat = graycode_optimize(circ)
-        assert all(g.num_controls <= 1 for g in flat.gates)
+        assert all(len(g.controls) <= 1 for g in flat.gates)
         assert np.allclose(unitary(flat), unitary(circ), atol=1e-9)
 
     def test_incomplete_run_strict(self):
@@ -237,7 +234,7 @@ class TestGraycode:
         total = math.fsum(raw)
         circ = synth_amplitude(Pmf(probs=tuple(v / total for v in raw)))
         flat = graycode_optimize(circ)
-        assert all(g.num_controls <= 1 for g in flat.gates)
+        assert all(len(g.controls) <= 1 for g in flat.gates)
         state = run_statevector(flat)
         np.testing.assert_allclose(state.probabilities(),
                                    [v / total for v in raw], atol=1e-9)
@@ -430,9 +427,9 @@ class TestLowerToUniform:
         low = lower_to_uniform(circ)
         for gate in low.gates:
             assert gate.kind in self.ALLOWED
-            assert gate.num_controls <= 1
+            assert len(gate.controls) <= 1
             assert all(pol for _, pol in gate.controls)
-            if gate.num_controls == 1:
+            if len(gate.controls) == 1:
                 assert gate.kind == "x"
         want = unitary(circ)
         if low.num_qubits == circ.num_qubits:
@@ -492,7 +489,7 @@ class TestLowerToUniform:
     @given(circ=shared_control_runs())
     def test_runs_of_shared_controls_property(self, circ):
         self.check(circ)
-        ladder = decompose_mcx(circ, "to_true_toffoli")
+        ladder = mcx_ladder(circ)
         assert same_up_to_phase(project_unitary(ladder, circ.num_qubits), unitary(circ))
 
 
@@ -530,6 +527,7 @@ def circuits_with_repeats(draw):
 class TestApplyPasses:
     def test_pass_names(self):
         assert set(PASSES) == {"double-x", "mcx-ladder", "toffoli-5", "graycode"}
+        assert (PASSES["mcx-ladder"], PASSES["toffoli-5"]) == (mcx_ladder, toffoli_five)
 
     def test_unknown_pass(self):
         with pytest.raises(ValueError, match="unknown pass"):

@@ -19,9 +19,7 @@ from qsynth.simulate import (
     MAX_STATEVECTOR_QUBITS,
     CalibrationResult,
     CountHistogram,
-    calibrate_shots,
     calibrate_shots_report,
-    run_reversible,
     run_reversible_table,
     run_statevector,
     sample,
@@ -47,35 +45,30 @@ def replay_word(circ, word):
 
 class TestRunReversible:
     def test_qubit_zero_is_high_bit(self):
-        assert run_reversible(circuit(2, x(0)), 0) == 0b10
+        assert run_reversible_table(circuit(2, x(0)), [0]) == [0b10]
 
     def test_positive_control(self):
         cx = circuit(2, x(1, (0,)))
-        assert run_reversible(cx, 0b00) == 0b00
-        assert run_reversible(cx, 0b10) == 0b11
+        assert run_reversible_table(cx, [0b00]) == [0b00]
+        assert run_reversible_table(cx, [0b10]) == [0b11]
 
     def test_negative_control(self):
         gate = Gate("x", (1,), ((0, False),))
         circ = circuit(2, gate)
-        assert run_reversible(circ, 0b00) == 0b01
-        assert run_reversible(circ, 0b10) == 0b10
+        assert run_reversible_table(circ, [0b00]) == [0b01]
+        assert run_reversible_table(circ, [0b10]) == [0b10]
 
     def test_gates_apply_in_order(self):
         circ = circuit(2, x(0), x(1, (0,)))
-        assert run_reversible(circ, 0b00) == 0b11
+        assert run_reversible_table(circ, [0b00]) == [0b11]
 
     def test_non_classical_gate_rejected(self):
         with pytest.raises(NonClassicalGate):
-            run_reversible(circuit(1, h(0)), 0)
+            run_reversible_table(circuit(1, h(0)), [0])
 
     def test_word_out_of_range(self):
         with pytest.raises(ValueError):
-            run_reversible(circuit(2, x(0)), 4)
-
-    def test_table_matches_scalar(self, rng):
-        circ = random_circuit(rng, 4, 15, kinds=("x",), max_controls=3)
-        full = run_reversible_table(circ)
-        assert full == [run_reversible(circ, w) for w in range(16)]
+            run_reversible_table(circuit(2, x(0)), [4])
 
     def test_table_subset(self):
         circ = circuit(2, x(1, (0,)))
@@ -99,7 +92,7 @@ class TestRunReversible:
                 (1 << 69) | (1 << 5) | (1 << 4),
                 1 << 5]
         assert run_reversible_table(circ, words) == want
-        assert [run_reversible(circ, w) for w in words] == want
+        assert [run_reversible_table(circ, [w])[0] for w in words] == want
         with pytest.raises(ValueError):
             run_reversible_table(circ, [1 << 70])
 
@@ -345,16 +338,12 @@ class TestCalibration:
 
     def test_seed_pinned(self):
         pmf = Pmf(probs=(0.125,) * 8)
-        assert calibrate_shots(pmf, seed=0) == calibrate_shots(pmf, seed=0)
-
-    def test_matches_report(self):
-        pmf = Pmf(probs=(0.5, 0.25, 0.125, 0.125))
-        assert calibrate_shots(pmf, seed=2) == calibrate_shots_report(pmf, seed=2).shots
+        assert calibrate_shots_report(pmf, seed=0) == calibrate_shots_report(pmf, seed=0)
 
     def test_circuit_source(self):
         circ = circuit(1, h(0))
         pmf = Pmf(probs=(0.5, 0.5))
-        shots = calibrate_shots(pmf, circuit=circ, seed=0)
+        shots = calibrate_shots_report(pmf, circuit=circ, seed=0).shots
         assert shots % 1500 == 0
         doublings = shots // 1500
         assert doublings & (doublings - 1) == 0
@@ -362,7 +351,7 @@ class TestCalibration:
     def test_non_convergent(self):
         pmf = Pmf(probs=(0.5, 0.5))
         with pytest.raises(NonConvergent):
-            calibrate_shots(pmf, threshold=1e-15, cap=8000)
+            calibrate_shots_report(pmf, threshold=1e-15, cap=8000)
 
     def test_tighter_threshold_needs_more_shots(self):
         pmf = Pmf(probs=(0.25,) * 4)

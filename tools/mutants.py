@@ -1,0 +1,185 @@
+"""Re-run the recorded mutation checks: each mutant must make its tests fail.
+
+A mutant is a list of exact text replacements in one file of
+``src/qsynth`` (most have one), plus the tests that must fail once it is
+applied.  The tool copies ``src/`` and ``tests/`` into a temporary
+directory, first runs every listed test on the unmutated copy (they
+must pass there), then applies each mutant in turn, runs only its tests
+with pytest, and restores the file.  The repository itself is never
+written.
+
+A mutant is killed when one of its tests fails, and survives when they
+all pass.  An old text that is not in its file exactly once is an
+error, not a skip, so a change that moves mutated code must move the
+mutant with it; so is a pytest run that neither passes nor fails (a
+test id that does not exist, a collection error).  Run from anywhere
+(about two minutes on 2 CPUs):
+
+    python3 tools/mutants.py
+
+Prints one line per mutant and a summary.  Exit code 0 only when every
+mutant is killed, 1 when one survives, 2 on an error.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/qsynth
+    edits: tuple[tuple[str, str], ...]  # (old text, new text), in order
+    tests: tuple[str, ...]
+
+
+ESOP_PROPERTY = "tests/test_esop.py::TestEvaluateTable::test_matches_per_row_reference"
+METRICS_PROPERTY = "tests/test_circuit.py::test_metrics_matches_per_gate_reference"
+LOWERING_PROPERTY = (
+    "tests/test_optimize.py::TestLowerToUniform::test_runs_of_shared_controls_property")
+READ_WRITE_PROPERTY = "tests/test_qasm.py::test_read_write_match_reference"
+FRAME_PROPERTY = "tests/test_circuit.py::test_lower_negative_controls_frame_matches_conjugation"
+CHECK_PROPERTY = "tests/test_circuit.py::test_circuit_checks_match_reference"
+ADDRESS_ORDER = "tests/test_encoding.py::TestMemoryImage::test_addresses_read_in_ascending_order"
+
+MUTANTS = (
+    # the bit-sliced ESOP reference of `qsynth verify`
+    Mutant("esop-zero-literal-uncomplemented", "esop.py", (
+        ('match &= columns[j] if c == "1" else ~columns[j]',
+         'match &= columns[j] if c == "1" else columns[j]'),), (ESOP_PROPERTY,)),
+    Mutant("esop-or-into-output", "esop.py", (
+        ("outputs[k] ^= match", "outputs[k] |= match"),), (ESOP_PROPERTY,)),
+    # metrics' one walk
+    Mutant("metrics-no-multi-qubit-level", "circuit.py", (
+        ("            for q in qs:\n                level[q] = d\n", ""),), (METRICS_PROPERTY,)),
+    Mutant("metrics-params-per-distinct-gate", "circuit.py", (
+        ("cost, max(level), params)",
+         "cost, max(level), sum(g.angle is not None for g in _distinct(circuit.gates)))"),),
+        (METRICS_PROPERTY,)),
+    # one Toffoli chain per run of shared controls
+    Mutant("ladder-no-uncompute", "optimize.py", (
+        ("out += [*steps, *(gate for _, gate in run), *steps[::-1]]",
+         "out += [*steps, *(gate for _, gate in run)]"),), (LOWERING_PROPERTY,)),
+    Mutant("ladder-runs-ignore-polarity", "optimize.py", (
+        ("    for c, run in itertools.groupby(_per_gate(circuit.gates, lift), itemgetter(0)):\n",
+         "    for _, run in itertools.groupby(_per_gate(circuit.gates, lift),\n"
+         "                                    lambda p: p[0] and [q for q, _ in p[0]]):\n"
+         "        run = list(run)\n"
+         "        c = run[0][0]\n"),), (LOWERING_PROPERTY,)),
+    Mutant("relative-phase-payload-toffoli", "optimize.py", (
+        ("return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)",
+         "return _relative_toffoli(a, b, t)"),), (LOWERING_PROPERTY,)),
+    # a mirror whose relative phase is not its chain's: the 7 gates reversed
+    # with their angles unchanged (-1 on |a=1, b=0, t=0>), and the mirror a
+    # copy with swapped controls.  Either edit alone is an equivalent mutant:
+    # the reversed step is its own inverse too, and a swapped copy of the
+    # committed step puts its -1 on a state a clean ancilla never reaches.
+    Mutant("mirror-phase-not-the-chains", "optimize.py", (
+        ("return [ry(_T, t), x(t, (b,)), ry(_T, t), x(t, (a,)),\n"
+         "            ry(-_T, t), x(t, (b,)), ry(-_T, t)]",
+         "return [ry(-_T, t), x(t, (b,)), ry(-_T, t), x(t, (a,)),\n"
+         "            ry(_T, t), x(t, (b,)), ry(_T, t)]"),
+        ("*steps[::-1]]", "*(step(*s.controls[::-1], s.targets[0]) for s in steps[::-1])]")),
+        (LOWERING_PROPERTY,)),
+    # QASM read and write, once per gate shape
+    Mutant("parse-shape-hit-reuses-angle", "qasm.py", (
+        ("gate = Gate(*shape, _angle(param, stmt))", "gate = Gate(*shape)"),
+        ("shape_of[head, tail] = gate.kind, gate.targets, gate.controls",
+         "shape_of[head, tail] = gate.kind, gate.targets, gate.controls, gate.angle")),
+        (READ_WRITE_PROPERTY,)),
+    Mutant("parse-shape-key-without-operands", "qasm.py", (
+        ('param, _, tail = rest.partition(")")',
+         'param, _, tail = *rest.partition(")")[:2], ""'),), (READ_WRITE_PROPERTY,)),
+    Mutant("emit-shape-key-without-controls", "qasm.py", (
+        ("key = gate.kind, gate.targets, gate.controls", "key = gate.kind, gate.targets"),
+        ("shapes.setdefault(key, shape(*key))",
+         "shapes.setdefault(key, shape(*key, gate.controls))")), (READ_WRITE_PROPERTY,)),
+    # the X frame of lower_negative_controls, Gate.qubits and the Circuit check
+    Mutant("frame-kept-under-other-targets", "circuit.py", (
+        ('\n                 + [(q, False) for q in gate.targets if gate.kind != "x"])', ")"),),
+        (FRAME_PROPERTY,)),
+    Mutant("frame-comparison-inverted", "circuit.py", (
+        ("if frame[q] != bit:", "if frame[q] == bit:"),), (FRAME_PROPERTY,)),
+    Mutant("positive-copy-keeps-controls", "circuit.py", (
+        ("gate.kind, gate.targets, positive, gate.angle)",
+         "gate.kind, gate.targets, gate.controls, gate.angle)"),), (FRAME_PROPERTY,)),
+    Mutant("uncontrolled-qubits-empty", "circuit.py", (
+        ("if not self.controls:\n            return self.targets",
+         "if not self.controls:\n            return ()"),), (METRICS_PROPERTY,)),
+    Mutant("fast-range-check-reads-qubit-0", "circuit.py", (
+        ("lo = hi = g.targets[0]", "lo = hi = 0"),), (CHECK_PROPERTY,)),
+    # memory images read their addresses in ascending order
+    Mutant("basis-addresses-unsorted", "encoding.py", (
+        ("for a, x in sorted(table.entries.items()))", "for a, x in table.entries.items())"),),
+        (ADDRESS_ORDER,)),
+    Mutant("angle-addresses-unsorted", "encoding.py", (
+        ("zip(sorted(table.entries), angles)", "zip(table.entries, angles)"),), (ADDRESS_ORDER,)),
+)
+
+
+class MutantError(Exception):
+    pass
+
+
+def pytest(copy: Path, tests) -> int:
+    """0 when every test passes, 1 when one fails; anything else is an error."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if done.returncode not in (0, 1):
+        raise MutantError(f"pytest exited {done.returncode} on {' '.join(tests)}")
+    return done.returncode
+
+
+def killed(copy: Path, mutant: Mutant) -> bool:
+    """Whether ``mutant`` makes one of its tests fail; the file is restored either way."""
+    path = copy / "src" / "qsynth" / mutant.file
+    original = text = path.read_text()
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            raise MutantError(f"{mutant.name}: {old!r} occurs {text.count(old)} times "
+                              f"in {mutant.file}, not once")
+        text = text.replace(old, new)
+    path.write_text(text)
+    try:
+        return pytest(copy, mutant.tests) == 1
+    finally:
+        path.write_text(original)
+
+
+def main() -> int:
+    started = time.monotonic()
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    dead = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=skip)
+        try:
+            if pytest(copy, sorted({t for m in MUTANTS for t in m.tests})):
+                raise MutantError("the listed tests fail on the unmutated code")
+            for mutant in MUTANTS:
+                t = time.monotonic()
+                hit = killed(copy, mutant)
+                dead += hit
+                print(f"{'killed' if hit else 'SURVIVED':8}  {mutant.name:34} "
+                      f"{time.monotonic() - t:5.1f} s", flush=True)
+        except MutantError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(f"{dead} of {len(MUTANTS)} mutants killed in {time.monotonic() - started:.0f} s")
+    return 0 if dead == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,9 +8,10 @@ emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
 one), a gate count is ``len(circuit)``, a control count is
 ``len(gate.controls)``, and each other size is a field of ``metrics``.
-Rotation kinds carry an angle in radians; no other kind does.  A ``Gate``
-is a plain record: the ``Circuit`` it joins checks it, once per distinct
-gate object.
+Every gate has one target.  Rotation kinds carry an angle in radians; no
+other kind does.  A ``Gate`` is a plain record: the ``Circuit`` it joins
+checks it, once per distinct gate object.  A measurement is not a gate:
+a circuit's ``measured`` qubits are read after its last gate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
-GATE_KINDS = frozenset({"x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure"})
+GATE_KINDS = frozenset({"x", "h", "z", "rx", "ry", "rz", "sx", "sxdg"})
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,6 @@ def sxdg(target: int, controls=()) -> Gate:
     return Gate("sxdg", (target,), _coerce_controls(controls))
 
 
-def measure(*targets: int) -> Gate:
-    return Gate("measure", tuple(targets))
-
-
 def _distinct(gates) -> Iterable[Gate]:
     """Each Gate object of ``gates`` once, in first-seen order."""
     return dict(zip(map(id, gates), gates)).values()
@@ -126,11 +123,14 @@ class Circuit:
     per gate do it once per distinct object (see ``_per_gate``).
     Construction is the one place that checks gates, so a gate from
     ``extend``, ``replace`` or ``parse_qasm`` meets every rule.
+    ``measured`` lists the qubits read after the last gate; entry j is
+    outcome bit j, and a qubit may be listed more than once.
     """
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
     labels: tuple[str, ...] = field(default=(), compare=False)
+    measured: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         n = self.num_qubits
@@ -141,36 +141,29 @@ class Circuit:
                 raise ValueError(f"{g}: targets and controls must be tuples")
             if g.kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
-            if g.kind == "measure" and g.controls:
-                raise ValueError("measurement cannot be controlled")
-            if len(g.targets) != 1 and not (g.kind == "measure" and g.targets):
-                raise ValueError(f"{g} needs one target (measure: one or more)")
+            if len(g.targets) != 1:
+                raise ValueError(f"{g} needs one target")
             if (g.angle is None) == (g.kind in ROTATION_KINDS):
                 raise ValueError(f"{g}: rotations, and only rotations, take an angle")
-            if not g.controls and len(g.targets) == 1:  # most gates: no qubit set to build
+            if not g.controls:  # most gates: no qubit set to build
                 lo = hi = g.targets[0]
             else:
                 qs = {q for q, _ in g.controls}.union(g.targets)  # g.qubits, without a tuple
-                if len(qs) != len(g.controls) + len(g.targets):
+                if len(qs) != len(g.controls) + 1:
                     raise ValueError(f"{g} uses a qubit twice")
                 lo, hi = min(qs), max(qs)
             if not 0 <= lo <= hi < n:
                 raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
+        if not all(0 <= q < n for q in self.measured):
+            raise ValueError(f"a measured qubit lies outside 0..{n - 1}")
 
     def __len__(self) -> int:
         return len(self.gates)
 
     def extend(self, gates) -> "Circuit":
         return replace(self, gates=self.gates + tuple(gates))
-
-    def measured_qubits(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for g in self.gates:
-            if g.kind == "measure":
-                out.extend(g.targets)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -192,8 +185,7 @@ def metrics(circuit: Circuit) -> Metrics:
     parameterized count counts gates that carry an angle; both count
     every occurrence of a repeated Gate object.  Depth is the longest
     chain of gates that pairwise share a qubit: two gates conflict iff
-    they touch any common qubit (controls count, and so do
-    measurements).
+    they touch any common qubit (controls count).
     """
     level = [0] * circuit.num_qubits
     cost = params = 0

@@ -34,7 +34,8 @@ from .circuit import Circuit, lower_negative_controls, metrics
 from .encoding import qrng_pipeline, qrom_pipeline, read_pmf
 from .errors import QsynthError, SizeLimitExceeded, VerificationFailed
 from .esop import evaluate_esop_table, synth_esop, to_esop
-from .funcprep import assign_dont_cares, expand, normalize_pmf, prepare_bijection, to_truth_table
+from .funcprep import (assign_dont_cares, expand, normalize_pmf, prepare_bijection, row_cap,
+                       to_truth_table)
 from .optimize import PASSES, apply_passes, lower_to_uniform
 from .pla import parse_pla
 from .qasm import emit_qasm, parse_qasm
@@ -173,19 +174,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _verify_classical(circ: Circuit, source: Path, method: str) -> dict:
     table = parse_pla(source.read_text())
     # expected maps each input word on the first `width` qubits to the
-    # word the circuit must leave there
+    # word the circuit must leave there; a word no row lists must give 0
     if method in ("tbs", "tbs-rm"):
         bijection, _ = prepare_bijection(table)
         width, expected = bijection.n, bijection.entries
     else:
-        width, m = table.n + table.m, table.m
+        width, m, words = table.n + table.m, table.m, range(1 << table.n)
+        if len(words) > (cap := row_cap()):
+            raise SizeLimitExceeded(f"every input word is {len(words)} rows, cap is {cap}")
         if method == "esop":
-            spec = to_esop(table)
-            minterms = list({int(ins, 2) for ins, _ in expand(table).rows})
-            outputs = dict(zip(minterms, evaluate_esop_table(spec, minterms)))
+            outputs = evaluate_esop_table(to_esop(table), words)
         else:
-            outputs = to_truth_table(assign_dont_cares(expand(table))).entries
-        expected = {a << m: (a << m) | y for a, y in outputs.items()}
+            entries = to_truth_table(assign_dont_cares(expand(table))).entries
+            outputs = [entries.get(a, 0) for a in words]
+        expected = {a << m: (a << m) | y for a, y in zip(words, outputs)}
     # qubits past the width are ancillas (e.g. from mcx-ladder): they sit
     # below the source bits in each word and must start and end at 0
     ancillas = circ.num_qubits - width

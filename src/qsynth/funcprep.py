@@ -20,7 +20,9 @@ import os
 import random
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     AllZero,
@@ -62,14 +64,16 @@ class TruthTable:
 
     Words are plain integers; column j of a width-k field is bit (k-1-j),
     i.e. the leftmost character of the written form is the most significant
-    bit.  ``entries`` maps defined input words to output words.
+    bit.  ``entries`` maps defined input words to output words: a
+    read-only view of a copy, so the table checked here stays the table.
     """
 
     n: int
     m: int
-    entries: dict[int, int]
+    entries: Mapping[int, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for x, y in self.entries.items():
             if not 0 <= x < (1 << self.n):
                 raise WidthMismatch(f"input {x} does not fit in {self.n} bits")

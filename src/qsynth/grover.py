@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, h, measure, x
+from .circuit import Circuit, Gate, h, x
 from .errors import AllSolutions, NoSolutions
 from .esop import EsopSpec, _cover_to_xor, synth_esop
 from .funcprep import expand
@@ -87,9 +87,8 @@ def build_grover(spec: GroverSpec) -> Circuit:
     for _ in range(spec.k):
         gates += oracle
         gates += diffusion
-    gates.append(measure(*range(n)))
     labels = tuple(f"x{i}" for i in range(n)) + ("anc",)
-    return Circuit(num_qubits=n + 1, gates=tuple(gates), labels=labels)
+    return Circuit(n + 1, tuple(gates), labels, measured=tuple(range(n)))
 
 
 def success_probability(N: int, M: int, k: int) -> float:

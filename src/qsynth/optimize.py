@@ -101,7 +101,7 @@ def _ladder(circuit: Circuit, wants) -> Circuit:
         extra = max(extra, len(steps))
         out += [*steps, *(gate for _, gate in run), *steps[::-1]]
     labels = circuit.labels + tuple(f"anc{i}" for i in range(extra)) if circuit.labels else ()
-    return Circuit(n + extra, tuple(out), labels)
+    return replace(circuit, num_qubits=n + extra, gates=tuple(out), labels=labels)
 
 
 def _five_gate(gate: Gate) -> list[Gate]:
@@ -368,7 +368,7 @@ def _bare_translation(gate: Gate) -> list[Gate]:
 
 
 def lower_to_uniform(circuit: Circuit) -> Circuit:
-    """Rewrite to {rx, ry, rz, cx, x, h, measure}, up to global phase.
+    """Rewrite to {rx, ry, rz, cx, x, h}, up to global phase.
 
     Negative controls become positive through the X frame of
     ``lower_negative_controls``; every gate with two or more controls

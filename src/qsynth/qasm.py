@@ -10,9 +10,10 @@ global phase only.
 
 The parser reads files shaped like the emitter's output: definitions are
 skipped by name (never expanded) and applications map straight back to
-IR gates: parsing gives back the emitted gates, and emit -> parse ->
-emit is byte-stable for finite angles.  Anything else, a parameter that
-is not a finite float literal included, raises UnsupportedStatement.
+IR gates: parsing gives back the emitted gates and measured qubits, and
+emit -> parse -> emit is byte-stable for finite angles.  Anything else,
+a parameter that is not a finite float literal included, raises
+UnsupportedStatement.
 Both directions work once per gate shape (name and operands), so a
 rotation of a known shape costs one repr or one float of its angle.
 """
@@ -25,7 +26,7 @@ import re
 from .circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, _per_gate, lower_negative_controls
 from .errors import UnsupportedGateForGateset, UnsupportedStatement
 
-UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h", "measure"})
+UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h"})
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,10 @@ def _def_sort_key(name: str):
 def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     """Serialize a circuit; ``gateset`` is ``natural`` or ``uniform``.
 
-    The uniform gateset admits only plain x/h/rx/ry/rz, cx and measure
-    and raises UnsupportedGateForGateset on anything else; emission never
-    rewrites gates to fit.  In both modes ``lower_negative_controls``
+    The uniform gateset admits only plain x/h/rx/ry/rz and cx and raises
+    UnsupportedGateForGateset on anything else; emission never rewrites
+    gates to fit.  The measured qubits are written after the last gate,
+    entry j into c[j].  In both modes ``lower_negative_controls``
     makes negative controls positive through its X frame.  Angles are
     printed with repr so parsing them back is exact.  The check, the name
     and the operand list are worked out once per (kind, targets,
@@ -199,32 +201,21 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
             return f"{name}(", f") {operands};"
         return f"{name} {operands};"
 
-    def application(gate: Gate) -> str | None:
-        if gate.kind == "measure":
-            return None  # numbered by position, below
+    def application(gate: Gate) -> str:
         key = gate.kind, gate.targets, gate.controls
         text = shapes.get(key) or shapes.setdefault(key, shape(*key))
         return text if gate.angle is None else f"{text[0]}{gate.angle!r}{text[1]}"
 
     apps = list(_per_gate(circuit.gates, application))
-    measure_count = 0
-    if None in apps:
-        for i, gate in enumerate(circuit.gates):
-            if apps[i] is None:
-                first = measure_count
-                measure_count += len(gate.targets)
-                apps[i] = "\n".join(
-                    f"measure q[{q}] -> c[{c}];"
-                    for c, q in enumerate(gate.targets, first))
-
     lines = ["OPENQASM 2.0;"]
     if circuit.labels:
         lines.append("// labels: " + " ".join(circuit.labels))
     lines.extend(_collect_definitions(names))
     lines.append(f"qreg q[{circuit.num_qubits}];")
-    if measure_count:
-        lines.append(f"creg c[{measure_count}];")
+    if circuit.measured:
+        lines.append(f"creg c[{len(circuit.measured)}];")
     lines.extend(apps)
+    lines.extend(f"measure q[{q}] -> c[{c}];" for c, q in enumerate(circuit.measured))
     return "\n".join(lines) + "\n"
 
 
@@ -244,7 +235,7 @@ _DEF_RE = re.compile(r"gate\s+[A-Za-z_][A-Za-z0-9_]*[^{]*\{[^}]*\}")
 # name -> (IR kind, control count): the emitter's names inverted, so
 # cz reads back as a z with one control
 _NAME_TABLE: dict[str, tuple[str, int]] = {
-    _mc_name(kind, k): (kind, k) for kind in GATE_KINDS - {"measure"} for k in (0, 1)
+    _mc_name(kind, k): (kind, k) for kind in GATE_KINDS for k in (0, 1)
 }
 _NAME_TABLE.update(ccx=("x", 2))
 
@@ -270,10 +261,7 @@ def _angle(param: str, stmt: str) -> float:
 
 
 def _parse_application(stmt: str) -> Gate:
-    """The gate of one measurement or gate application statement."""
-    m = _MEASURE_RE.fullmatch(stmt)
-    if m:
-        return Gate("measure", (int(m.group(1)),))
+    """The gate of one gate application statement."""
     m = _APP_RE.fullmatch(stmt)
     if not m:
         raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
@@ -301,12 +289,13 @@ def parse_qasm(text: str) -> Circuit:
 
     Gate definitions are skipped (names are resolved from a fixed table),
     so parsing never expands macro bodies.  Statements outside the
-    emitter's repertoire raise UnsupportedStatement, and so does a j-th
-    measurement that writes anything but bit j of the one declared creg.
-    Repeated statements share one Gate instance.  A statement equal to an
-    earlier one but for the text between its parentheses reuses that
-    one's kind and qubits, so its own work is reading the parameter,
-    which must be a finite float literal.
+    emitter's repertoire raise UnsupportedStatement, and so do a j-th
+    measurement that writes anything but bit j of the one declared creg
+    and a gate after a measurement.  Repeated statements share one Gate
+    instance.  A statement equal to an earlier one but for the text
+    between its parentheses reuses that one's kind and qubits, so its
+    own work is reading the parameter, which must be a finite float
+    literal.
     """
     labels: tuple[str, ...] = ()
     stripped: list[str] = []
@@ -329,7 +318,7 @@ def parse_qasm(text: str) -> Circuit:
         raise UnsupportedStatement("file must start with OPENQASM 2.0;")
 
     size: dict[str, int] = {}  # register ("q" or "c") -> declared size
-    measured = 0
+    measured: list[int] = []  # measurement j reads qubit measured[j] into c[j]
     gates: list[Gate] = []
     gate_of: dict[str, Gate] = {}  # a repeated statement yields one shared Gate
     shape_of: dict[tuple[str, str], tuple] = {}  # text around a parameter -> the rest of its Gate
@@ -348,19 +337,22 @@ def parse_qasm(text: str) -> Circuit:
                         raise UnsupportedStatement(f"multiple {m.group(1)}reg declarations")
                     size[m.group(1)] = int(m.group(2))
                     continue
+                m = _MEASURE_RE.fullmatch(stmt)
+                if m:  # never cached, so a repeated one is checked again
+                    j, clbit = len(measured), int(m.group(2))
+                    if clbit != j or j >= size.get("c", 0):
+                        raise UnsupportedStatement(
+                            f"measurement {j} must write c[{j}] of the one creg, not c[{clbit}]")
+                    measured.append(int(m.group(1)))
+                    continue
                 gate = _parse_application(stmt)
                 if paren:
                     shape_of[head, tail] = gate.kind, gate.targets, gate.controls
             gate_of[stmt] = gate
-        if gate.kind == "measure":  # the distribution reads measurement j as bit j
-            clbit = int(_MEASURE_RE.fullmatch(stmt).group(2))
-            if clbit != measured or measured >= size.get("c", 0):
-                raise UnsupportedStatement(
-                    f"measurement {measured} must write c[{measured}] of the one creg, "
-                    f"not c[{clbit}]")
-            measured += 1
+        if measured:
+            raise UnsupportedStatement(f"gate {stmt!r} follows a measurement")
         gates.append(gate)
 
     if "q" not in size:
         raise UnsupportedStatement("missing qreg declaration")
-    return Circuit(num_qubits=size["q"], gates=tuple(gates), labels=labels)
+    return Circuit(size["q"], tuple(gates), labels, tuple(measured))

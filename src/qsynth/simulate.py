@@ -172,8 +172,8 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
 
     Each run of ``ry`` gates and singly controlled ``x`` gates on one
     target is applied at once, as a multiplexed rotation (see _apply_run).
-    Measurement gates leave the state untouched here; use sample() to
-    draw outcomes.  Refuses circuits wider than MAX_STATEVECTOR_QUBITS.
+    The state is the one before measurement; sample() reads the measured
+    qubits from it.  Refuses circuits wider than MAX_STATEVECTOR_QUBITS.
     """
     n = circuit.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
@@ -208,8 +208,8 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
 
 def _joins(g, target: int) -> bool:
     """Whether ``g`` extends a run on ``target``: an ry or an x with at
-    most one control on it, or a measurement or bare X anywhere."""
-    if g.kind == "measure" or g.kind == "x" and not g.controls:
+    most one control on it, or a bare X anywhere."""
+    if g.kind == "x" and not g.controls:
         return True
     return g.targets[0] == target and (g.kind == "ry" or g.kind == "x" and len(g.controls) == 1)
 
@@ -300,7 +300,7 @@ def _apply_gate(state: np.ndarray, g, flipped: list[bool]) -> None:
     target = g.targets[0]
     if g.kind == "x" and not g.controls:
         flipped[target] = not flipped[target]
-    elif g.kind != "measure":
+    else:
         index: list = [slice(None)] * state.ndim
         for q, positive in g.controls:
             index[q] = int(positive) ^ flipped[q]
@@ -342,9 +342,8 @@ class CountHistogram:
 def _distribution_of(obj) -> tuple[np.ndarray, int]:
     if isinstance(obj, Circuit):
         sv = run_statevector(obj)
-        measured = obj.measured_qubits()
-        if measured:
-            return sv.distribution(measured), len(measured)
+        if obj.measured:
+            return sv.distribution(obj.measured), len(obj.measured)
         return sv.probabilities(), obj.num_qubits
     if isinstance(obj, Statevector):
         return obj.probabilities(), obj.num_qubits
@@ -360,8 +359,8 @@ def _distribution_of(obj) -> tuple[np.ndarray, int]:
 def sample(obj, shots: int, seed: int | None = None) -> CountHistogram:
     """Draw a multinomial sample from a circuit, state, or distribution.
 
-    Circuits with measurement gates are sampled over the measured qubits in
-    measurement order; bare circuits and states over all qubits.  The same
+    A circuit with ``measured`` qubits is sampled over them, entry j as
+    bit j; other circuits and states over all qubits.  The same
     seed always reproduces the same histogram.
     """
     if not isinstance(shots, numbers.Integral) or not 0 < shots < 1 << 63:  # numpy's int64

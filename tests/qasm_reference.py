@@ -31,9 +31,7 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     circuit = lower_negative_controls(circuit)
     names: set[str] = set()
 
-    def application(gate: Gate) -> str | None:
-        if gate.kind == "measure":
-            return None  # numbered by position, below
+    def application(gate: Gate) -> str:
         if gateset == "uniform":
             ok = (
                 gate.kind in UNIFORM_GATESET
@@ -52,31 +50,19 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
         return f"{name} {operands};"
 
     apps = list(_per_gate(circuit.gates, application))
-    measure_count = 0
-    if None in apps:
-        for i, gate in enumerate(circuit.gates):
-            if apps[i] is None:
-                first = measure_count
-                measure_count += len(gate.targets)
-                apps[i] = "\n".join(
-                    f"measure q[{q}] -> c[{c}];"
-                    for c, q in enumerate(gate.targets, first))
-
     lines = ["OPENQASM 2.0;"]
     if circuit.labels:
         lines.append("// labels: " + " ".join(circuit.labels))
     lines.extend(_collect_definitions(names))
     lines.append(f"qreg q[{circuit.num_qubits}];")
-    if measure_count:
-        lines.append(f"creg c[{measure_count}];")
+    if circuit.measured:
+        lines.append(f"creg c[{len(circuit.measured)}];")
     lines.extend(apps)
+    lines.extend(f"measure q[{q}] -> c[{c}];" for c, q in enumerate(circuit.measured))
     return "\n".join(lines) + "\n"
 
 
 def _parse_application(stmt: str) -> Gate:
-    m = _MEASURE_RE.fullmatch(stmt)
-    if m:
-        return Gate("measure", (int(m.group(1)),))
     m = _APP_RE.fullmatch(stmt)
     if not m:
         raise UnsupportedStatement(f"cannot parse statement {stmt!r}")
@@ -121,7 +107,7 @@ def parse_qasm(text: str) -> Circuit:
         raise UnsupportedStatement("file must start with OPENQASM 2.0;")
 
     size: dict[str, int] = {}  # register ("q" or "c") -> declared size
-    measured = 0
+    measured: list[int] = []
     gates: list[Gate] = []
     gate_of: dict[str, Gate] = {}  # a repeated statement yields one shared Gate
     for stmt in statements[1:]:
@@ -133,16 +119,21 @@ def parse_qasm(text: str) -> Circuit:
                     raise UnsupportedStatement(f"multiple {m.group(1)}reg declarations")
                 size[m.group(1)] = int(m.group(2))
                 continue
+            m = _MEASURE_RE.fullmatch(stmt)
+            if m:  # the distribution reads measurement j as bit j
+                clbit = int(m.group(2))
+                if clbit != len(measured) or len(measured) >= size.get("c", 0):
+                    raise UnsupportedStatement(
+                        f"measurement {len(measured)} must write c[{len(measured)}] of the one "
+                        f"creg, not c[{clbit}]")
+                measured.append(int(m.group(1)))
+                continue
             gate = gate_of[stmt] = _parse_application(stmt)
-        if gate.kind == "measure":  # the distribution reads measurement j as bit j
-            clbit = int(_MEASURE_RE.fullmatch(stmt).group(2))
-            if clbit != measured or measured >= size.get("c", 0):
-                raise UnsupportedStatement(
-                    f"measurement {measured} must write c[{measured}] of the one creg, "
-                    f"not c[{clbit}]")
-            measured += 1
+        if measured:
+            raise UnsupportedStatement(f"gate {stmt!r} follows a measurement")
         gates.append(gate)
 
     if "q" not in size:
         raise UnsupportedStatement("missing qreg declaration")
-    return Circuit(num_qubits=size["q"], gates=tuple(gates), labels=labels)
+    return Circuit(num_qubits=size["q"], gates=tuple(gates), labels=labels,
+                   measured=tuple(measured))

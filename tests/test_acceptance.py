@@ -242,7 +242,7 @@ def test_grover_success_rates():
 
     diamonds = GroverSpec(n=6, predicate=card_predicate("diamonds", 10), k=6)
     circ = build_grover(diamonds)
-    dist = run_statevector(circ).distribution(circ.measured_qubits())
+    dist = run_statevector(circ).distribution(circ.measured)
     assert dist[0b101010] >= 0.99
 
     clubs = GroverSpec(n=6, predicate=card_predicate("clubs"), k=0)

@@ -17,7 +17,6 @@ from qsynth.circuit import (
     cz,
     h,
     lower_negative_controls,
-    measure,
     metrics,
     rx,
     ry,
@@ -38,7 +37,7 @@ def test_gate_validation():
         Gate("x", (0,), ((1, True), (1, False))),
         Gate("rx", (0,)),                    # missing angle
         Gate("x", (0,), angle=1.0),          # angle on a fixed gate
-        Gate("measure", (0,), ((1, True),)),
+        Gate("measure", (0,)),               # a measurement is not a gate
         Gate("h", (0, 1)),
     ):
         with pytest.raises(ValueError):
@@ -51,7 +50,6 @@ def test_helpers_build_expected_gates():
     assert g.targets == (2,)
     assert g.controls == ((0, True), (1, False))
     assert rx(0.5, 1).angle == 0.5
-    assert measure(0, 2).targets == (0, 2)
 
 
 def test_circuit_validation():
@@ -64,20 +62,26 @@ def test_circuit_validation():
 
 
 def test_measured_qubits_in_order():
-    circ = Circuit(num_qubits=3, gates=(h(1), measure(2, 0), measure(1)))
-    assert circ.measured_qubits() == (2, 0, 1)
+    circ = Circuit(num_qubits=3, gates=(h(1),), measured=(2, 0, 1))
+    assert circ.measured == (2, 0, 1)
+    # measured counts for equality, labels do not; a qubit may repeat
+    assert circ != Circuit(3, (h(1),), measured=(2, 1, 0))
+    assert Circuit(3, (h(1),), ("a", "b", "c"), (0, 0)) == Circuit(3, (h(1),), (), (0, 0))
+    for bad in ((3,), (0, -1)):
+        with pytest.raises(ValueError, match="measured qubit"):
+            Circuit(3, (h(1),), measured=bad)
 
 
 def test_metrics_counts():
     circ = Circuit(num_qubits=3, gates=(
-        x(0), x(2, ((0, True), (1, True))), rx(0.3, 1), measure(0)))
+        x(0), x(2, ((0, True), (1, True))), rx(0.3, 1)), measured=(0,))
     m = metrics(circ)
     assert m.qubits == 3
-    assert m.gate_count == 4
-    # costs: 1 + 3 + 1 + 1
-    assert m.complexity == 6
+    # a measurement is not a gate: costs 1 + 3 + 1
+    assert m.gate_count == 3
+    assert m.complexity == 5
     assert m.parameterized_gate_count == 1
-    assert m.as_dict()["complexity"] == 6
+    assert m.as_dict()["complexity"] == 5
 
 
 def test_complexity_sums_controls_plus_targets():
@@ -155,10 +159,6 @@ def polarity_circuits(draw):
         else:
             target = draw(st.integers(0, n - 1))
             kind = draw(st.sampled_from(sorted(GATE_KINDS)))
-        if kind == "measure":
-            gates.append(Gate("measure", tuple(draw(st.lists(
-                st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))))
-            continue
         others = [q for q in range(n) if q != target]
         chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
                                unique=True)) if others else []
@@ -262,10 +262,7 @@ def reference_gate_check(g: Gate, n: int) -> None:
             raise ValueError(f"{g.kind} needs an angle")
     elif g.angle is not None:
         raise ValueError(f"{g.kind} does not take an angle")
-    if g.kind == "measure":
-        if g.controls:
-            raise ValueError("measurement cannot be controlled")
-    elif len(g.targets) != 1:
+    if len(g.targets) != 1:
         raise ValueError(f"{g.kind} takes exactly one target")
     for q in g.qubits:
         if not 0 <= q < n:

@@ -12,7 +12,7 @@ import pytest
 
 import qsynth
 from qsynth import cli
-from qsynth.circuit import lower_negative_controls
+from qsynth.circuit import lower_negative_controls, x
 from qsynth.cli import main
 from qsynth.esop import EsopSpec, synth_esop, to_esop
 from qsynth.funcprep import assign_dont_cares, expand, to_truth_table
@@ -173,7 +173,7 @@ class TestSynth:
                          "--gateset", "uniform") == 0
         circ = parse_qasm(out.read_text())
         for gate in circ.gates:
-            assert gate.kind in {"rx", "ry", "rz", "x", "h", "measure"}
+            assert gate.kind in {"rx", "ry", "rz", "x", "h"}
             assert len(gate.controls) <= 1
 
     def test_row_cap_environment(self, pla_file, tmp_path, monkeypatch, capsys):
@@ -425,8 +425,8 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["mismatches"] == report["rows_checked"] == 32
 
-    # rows_checked is the number of distinct minterms of the expanded table
-    ESOP_ROWS = {"Z5xp1": 128, "Z9sym": 420, "addm4": 512, "apex4": 512, "b11": 256,
+    # rows_checked is 2^n: every input word, listed by the table or not
+    ESOP_ROWS = {"Z5xp1": 128, "Z9sym": 512, "addm4": 512, "apex4": 512, "b11": 256,
                  "clip": 512, "dist": 256, "ex5": 256, "f51m": 256, "inc": 128,
                  "mlp4": 256, "squar5": 32}
 
@@ -435,6 +435,36 @@ class TestVerify:
         assert self.synth_and_verify(bench_path(f"{name}.pla"), "esop", tmp_path) == 0
         report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert (report["rows_checked"], report["mismatches"]) == (self.ESOP_ROWS[name], 0)
+
+    def test_unlisted_input_word_is_checked(self, tmp_path, capsys):
+        # Z9sym lists 420 of its 512 input words; an extra X on f0 under
+        # 000000000, a word it does not list, must show as one mismatch
+        source = bench_path("Z9sym.pla")
+        out = tmp_path / "Z9sym.qasm"
+        assert run_synth(source, out, "--method", "esop") == 0
+        circ = parse_qasm(out.read_text())
+        out.write_text(emit_qasm(circ.extend([x(9, tuple((q, False) for q in range(9)))])))
+        capsys.readouterr()
+        assert main(["verify", str(out), str(source), "--method", "esop"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rows_checked"], report["mismatches"]) == (512, 1)
+
+    @pytest.mark.parametrize("method", ["esop", "basis"])
+    def test_every_word_past_the_row_cap(self, tmp_path, method, monkeypatch, capsys):
+        source = bench_path("squar5.pla")  # 32 input words
+        out = tmp_path / "squar5.qasm"
+        assert run_synth(source, out, "--method", method) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("QSYNTH_MAX_ROWS", "16")
+        assert main(["verify", str(out), str(source), "--method", method]) == 4
+        assert "SizeLimitExceeded" in capsys.readouterr().err
+
+    def test_gate_after_measurement(self, pla_file, tmp_path, capsys):
+        out = tmp_path / "late.qasm"
+        out.write_text("OPENQASM 2.0;\ngate x a { U(pi,0,pi) a; }\nqreg q[1];\ncreg c[1];\n"
+                       "x q[0];\nmeasure q[0] -> c[0];\nx q[0];\n")
+        assert main(["verify", str(out), str(pla_file), "--method", "esop"]) == 4
+        assert "UnsupportedStatement" in capsys.readouterr().err
 
     def test_dropped_gate_past_first_machine_word(self, tmp_path, capsys):
         # clip: 512 rows over 9 inputs, so each bit-sliced column spans

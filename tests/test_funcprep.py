@@ -92,6 +92,17 @@ def test_to_truth_table():
     assert not tt.complete
 
 
+def test_truth_table_entries_read_only():
+    # the table checked at construction stays the table: address 5 does not
+    # fit in n = 2 bits, and an edit of the dict passed in does not reach it
+    given = {1: 4}
+    t = TruthTable(2, 3, given)
+    with pytest.raises(TypeError):
+        t.entries[5] = 4
+    given[1] = 99
+    assert t.entries == {1: 4}
+
+
 # ---------------------------------------------------------------------------
 # make_one_to_one
 # ---------------------------------------------------------------------------

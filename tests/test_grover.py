@@ -19,6 +19,7 @@ from qsynth.grover import (
     _oracle_gates,
 )
 from qsynth.pla import PlaTable
+from qsynth.qasm import emit_qasm
 from qsynth.simulate import run_reversible_table, run_statevector
 
 
@@ -123,21 +124,25 @@ class TestBuildGrover:
         circ = build_grover(GroverSpec(n=6, predicate=card_predicate("clubs"), k=2))
         assert circ.num_qubits == 7
         assert circ.labels == ("x0", "x1", "x2", "x3", "x4", "x5", "anc")
-        assert circ.measured_qubits() == (0, 1, 2, 3, 4, 5)
+        assert circ.measured == (0, 1, 2, 3, 4, 5)
 
-    @pytest.mark.parametrize("cubes,k,sha256", [
+    @pytest.mark.parametrize("cubes,k,sha256,qasm_sha256", [
         ((card_cube("diamonds", 10),), 6,
-         "a23b996224b85911dcb2121db7c6ef3c1a63fa4992c17a30f78071aaf2667c4d"),
+         "35e131977030a7fa8b86eef730a555ae0111e050307d2dc6abacddfb5cc21dfd",
+         "85eda873480922c44675684fb94f9d98aae5c2529343a517cb2452b8dfe4fd57"),
         ((card_cube("clubs"),), 2,
-         "2f4d717978cfd1c5d30fbd4c37b96ed271b3723df331a9c7c22346c33f83495c"),
+         "8e738efcbb513d3e00bee28ed606cf9b86aa3d35560926502a54287f8d69f341",
+         "4cf93323db386542de35ea874ffc4f4c9ac7e0d36eff82a5ef00388ca802e7e1"),
         # overlapping cubes: the oracle goes through the exclusive rewrite
         ((card_cube("hearts"), card_cube(value=1)), 1,
-         "ba7783046acdb83b1afe4164b1884e0486c5ca05899ff25aa12191ea1e553693"),
+         "f452cb5b6f2aebacabe3524c7d81de353dd90929708777d52158f260d3ec6f98",
+         "becc3b02f604fb676c992ed02ebb5a8da740ba41bb87702ece4b9002935e9c0f"),
     ])
-    def test_card_gates_pinned(self, cubes, k, sha256):
+    def test_card_gates_pinned(self, cubes, k, sha256, qasm_sha256):
         table = predicate(6, [(cube, "1") for cube in cubes])
         circ = build_grover(GroverSpec(n=6, predicate=table, k=k))
         assert hashlib.sha256(repr(circ.gates).encode()).hexdigest() == sha256
+        assert hashlib.sha256(emit_qasm(circ).encode()).hexdigest() == qasm_sha256
 
     def test_degenerate_predicates_rejected(self):
         with pytest.raises(NoSolutions):
@@ -146,7 +151,7 @@ class TestBuildGrover:
     def test_zero_iterations_is_uniform(self):
         spec = GroverSpec(n=3, predicate=predicate(3, [("111", "1")]), k=0)
         circ = build_grover(spec)
-        dist = run_statevector(circ).distribution(circ.measured_qubits())
+        dist = run_statevector(circ).distribution(circ.measured)
         assert all(p == pytest.approx(1 / 8, abs=1e-12) for p in dist)
 
 
@@ -176,7 +181,7 @@ class TestSuccessProbability:
 class TestSimulationMatchesModel:
     def mass_on_solutions(self, spec):
         circ = build_grover(spec)
-        dist = run_statevector(circ).distribution(circ.measured_qubits())
+        dist = run_statevector(circ).distribution(circ.measured)
         return math.fsum(dist[s] for s in solutions(spec))
 
     def test_single_solution_rounds(self):

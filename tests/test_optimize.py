@@ -421,7 +421,7 @@ def shared_control_runs(draw):
 
 
 class TestLowerToUniform:
-    ALLOWED = {"rx", "ry", "rz", "x", "h", "measure"}
+    ALLOWED = {"rx", "ry", "rz", "x", "h"}
 
     def check(self, circ):
         low = lower_to_uniform(circ)
@@ -494,16 +494,12 @@ class TestLowerToUniform:
 
 
 QUBITS = 5
-KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure")
+KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg")
 
 
 @st.composite
 def gates(draw):
     kind = draw(st.sampled_from(KINDS))
-    if kind == "measure":
-        targets = draw(st.lists(st.integers(0, QUBITS - 1), min_size=1,
-                                max_size=2, unique=True))
-        return Gate("measure", tuple(targets))
     target = draw(st.integers(0, QUBITS - 1))
     others = [q for q in range(QUBITS) if q != target]
     qubits = draw(st.lists(st.sampled_from(others), unique=True, max_size=4))

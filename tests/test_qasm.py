@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.circuit import (
-    GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, lower_negative_controls, measure, ry, rz, x,
+    GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, lower_negative_controls, ry, rz, x,
 )
 from qsynth.errors import UnsupportedGateForGateset, UnsupportedStatement
 from qsynth.esop import to_esop, synth_esop
@@ -68,11 +68,10 @@ class TestEmit:
         assert "// labels: x0 f0\n" in emit_qasm(circ)
 
     def test_measure_lines_and_creg(self):
-        circ = circuit(3, h(0), Gate("measure", (2, 0)))
+        circ = Circuit(3, (h(0),), measured=(2, 0))
         text = emit_qasm(circ)
-        assert "creg c[2];" in text
-        assert "measure q[2] -> c[0];" in text
-        assert "measure q[0] -> c[1];" in text
+        assert "qreg q[3];\ncreg c[2];\n" in text
+        assert text.endswith("h q[0];\nmeasure q[2] -> c[0];\nmeasure q[0] -> c[1];\n")
 
     def test_negative_controls_conjugated(self):
         gate = Gate("x", (1,), ((0, False),))
@@ -87,9 +86,8 @@ class TestEmit:
 
 class TestUniformGateset:
     def test_accepts_uniform_kinds(self):
-        circ = circuit(2, x(0), x(1, (0,)), h(1), ry(0.3, 0),
-                       rz(0.1, 1), Gate("rx", (0,), (), 0.2),
-                       Gate("measure", (0,)))
+        circ = Circuit(2, (x(0), x(1, (0,)), h(1), ry(0.3, 0),
+                           rz(0.1, 1), Gate("rx", (0,), (), 0.2)), measured=(0,))
         text = emit_qasm(circ, gateset="uniform")
         assert "OPENQASM 2.0;" in text
 
@@ -111,7 +109,7 @@ class TestUniformGateset:
 
     def test_unknown_gateset_without_gates(self):
         # no gate to check: the gate set is still checked up front
-        for circ in (circuit(2, measure(0)), circuit(2)):
+        for circ in (Circuit(2, measured=(0,)), circuit(2)):
             with pytest.raises(ValueError, match="unknown gateset"):
                 emit_qasm(circ, gateset="bogus")
 
@@ -128,9 +126,15 @@ class TestParse:
         assert parse_qasm(emit_qasm(circ)).labels == ("a0", "d0")
 
     def test_measure_round_trip(self):
-        circ = circuit(3, h(0), Gate("measure", (2, 0)))
+        circ = Circuit(3, (h(0),), measured=(2, 0))
         parsed = parse_qasm(emit_qasm(circ))
-        assert parsed.measured_qubits() == (2, 0)
+        assert parsed.measured == (2, 0)
+
+    def test_gate_after_measurement(self):
+        # a measurement ends the circuit, so this text has no Circuit
+        with pytest.raises(UnsupportedStatement, match="follows a measurement"):
+            parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"
+                       "x q[0];\nmeasure q[0] -> c[0];\nx q[0];\n")
 
     def test_definitions_not_expanded(self):
         circ = circuit(3, x(2, (0, 1)))
@@ -217,8 +221,8 @@ class TestByteStability:
         esop = synth_esop(to_esop(pla))
         yield esop
         yield lower_to_uniform(esop)
-        yield circuit(3, h(0), x(1, (0,)), ry(0.7, 2, ((0, True), (1, True))),
-                      Gate("measure", (0, 1, 2)))
+        yield Circuit(3, (h(0), x(1, (0,)), ry(0.7, 2, ((0, True), (1, True)))),
+                      measured=(0, 1, 2))
         for _ in range(5):
             yield random_circuit(rng, 4, 12)
 
@@ -240,19 +244,12 @@ class TestByteStability:
 
 @st.composite
 def one_target_circuits(draw):
-    """Circuits of 1-5 qubits over every gate kind, 0-3 controls of mixed polarity.
-
-    ``measure`` takes a single target: the parser returns one gate per
-    measured qubit, so a multi-target measure would come back split.
-    """
+    """Circuits of 1-5 qubits over every gate kind, 0-3 controls of mixed polarity."""
     n = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(sorted(GATE_KINDS)))
         target = draw(st.integers(0, n - 1))
-        if kind == "measure":
-            gates.append(measure(target))
-            continue
         others = [q for q in range(n) if q != target]
         chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
                                unique=True)) if others else []
@@ -283,27 +280,27 @@ angles = st.sampled_from(ODD_ANGLES) | st.floats(allow_nan=False, allow_infinity
 
 
 @st.composite
-def repeated_shapes(draw):
+def repeated_shapes(draw, polarity=st.booleans()):
     """Circuits of 1-4 qubits whose gates take one of 1-4 shapes (kind,
-    target, 0-3 controls of mixed polarity), each rotation with an angle
-    of its own; some gate objects recur, measurements (1-n targets) and
-    labels come and go."""
+    target, 0-3 controls of ``polarity``, mixed by default), each rotation
+    with an angle of its own; some gate objects recur, and measured
+    qubits (a qubit may recur) and labels come and go."""
     n = draw(st.integers(1, 4))
     shapes = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(sorted(ROTATION_KINDS))
-                    | st.sampled_from(sorted(GATE_KINDS - {"measure"})))
+                    | st.sampled_from(sorted(GATE_KINDS)))
         target = draw(st.integers(0, n - 1))
         others = [q for q in range(n) if q != target]
         chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
                                unique=True)) if others else []
-        shapes.append((kind, (target,), tuple((q, draw(st.booleans())) for q in chosen)))
-    gates = []
+        shapes.append((kind, (target,), tuple((q, draw(polarity)) for q in chosen)))
+    gates, measured = [], []
     for _ in range(draw(st.integers(0, 14))):
         pick = draw(st.integers(0, len(shapes)))
         if pick == len(shapes):
             qubits = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-            gates.append(measure(*draw(qubits)))
+            measured += draw(qubits)
         elif gates and draw(st.integers(0, 4)) == 0:
             gates.append(gates[draw(st.integers(0, len(gates) - 1))])
         else:
@@ -311,7 +308,7 @@ def repeated_shapes(draw):
             angle = draw(angles) if kind in ROTATION_KINDS else None
             gates.append(Gate(kind, targets, controls, angle))
     labels = tuple(f"b{q}" for q in range(n)) if draw(st.booleans()) else ()
-    return Circuit(n, tuple(gates), labels)
+    return Circuit(n, tuple(gates), labels, tuple(measured))
 
 
 def failure(fn, *args):
@@ -326,7 +323,7 @@ def failure(fn, *args):
 def read_back(circ):
     """Each gate's fields, the angle as ``float.hex``, and which gates are one object."""
     first: dict[int, int] = {}
-    return (circ.num_qubits, circ.labels,
+    return (circ.num_qubits, circ.labels, circ.measured,
             [(g.kind, g.targets, g.controls, None if g.angle is None else g.angle.hex())
              for g in circ.gates],
             [first.setdefault(id(g), i) for i, g in enumerate(circ.gates)])
@@ -345,6 +342,15 @@ def test_read_write_match_reference(circ):
     assert uniform is failure(reference.emit_qasm, circ, "uniform")
     if uniform is None:
         assert emit_qasm(circ, "uniform") == reference.emit_qasm(circ, "uniform")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_shapes(polarity=st.just(True)))
+def test_emit_parse_gives_back_the_circuit(circ):
+    # with positive controls only there is no X frame: every gate, every
+    # measured qubit and the labels come back, though equal gates that
+    # were distinct objects come back as one
+    assert read_back(parse_qasm(emit_qasm(circ)))[:4] == read_back(circ)[:4]
 
 
 BAD_PARAMETERS = ("pi/2", "inf", "-inf", "nan", "1e999", "", "0.5,0.5", "(0.5")

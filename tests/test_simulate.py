@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth import simulate
-from qsynth.circuit import Circuit, Gate, cz, h, lower_negative_controls, measure, ry, x
+from qsynth.circuit import Circuit, Gate, cz, h, lower_negative_controls, ry, x
 from qsynth.encoding import read_pmf, synth_amplitude
 from qsynth.errors import NonClassicalGate, NonConvergent, SizeLimitExceeded, TooManyQubits
 from qsynth.funcprep import Pmf, normalize_pmf
@@ -27,7 +27,7 @@ from qsynth.simulate import (
 
 from conftest import bench_path, random_circuit, unitary
 
-SV_KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg", "measure")
+SV_KINDS = ("x", "h", "z", "rx", "ry", "rz", "sx", "sxdg")
 
 
 def circuit(num_qubits, *gates):
@@ -126,12 +126,6 @@ class TestRunStatevector:
         np.testing.assert_allclose(state.probabilities(), [0.5, 0.5, 0, 0],
                                    atol=1e-12)
 
-    def test_measure_gates_are_inert(self):
-        circ = circuit(2, h(0), Gate("measure", (0, 1)))
-        state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), [0.5, 0, 0.5, 0],
-                                   atol=1e-12)
-
     def test_matches_unitary_columns(self, rng):
         circ = random_circuit(rng, 3, 10)
         mat = unitary(circ)
@@ -157,8 +151,6 @@ def statevector_per_gate(circ, initial=0):
     state[initial] = 1.0
     state = state.reshape((2,) * n)
     for g in circ.gates:
-        if g.kind == "measure":
-            continue
         index = [slice(None)] * n
         for q, positive in g.controls:
             index[q] = 1 if positive else 0
@@ -189,9 +181,6 @@ def flipped_circuit(rng, n, num_gates):
     for _ in range(num_gates):
         gates.extend(x(q) for q in range(n) if rng.random() < 0.4)
         kind = rng.choice(SV_KINDS)
-        if kind == "measure":
-            gates.append(Gate("measure", tuple(rng.sample(range(n), 2))))
-            continue
         target = rng.randrange(n)
         pool = [q for q in range(n) if q != target]
         k = rng.randint(0, min(3, len(pool)))
@@ -206,7 +195,7 @@ class TestXFrame:
         for trial in range(40):
             n = rng.randint(1, 5) if trial % 4 else 5
             circ = flipped_circuit(rng, n, 25) if n > 1 else circuit(
-                1, x(0), h(0), x(0), ry(0.4, 0), x(0), Gate("measure", (0,)))
+                1, x(0), h(0), x(0), ry(0.4, 0), x(0))
             initial = rng.randrange(1 << n)
             got = run_statevector(circ, initial=initial).amplitudes
             want = statevector_per_gate(circ, initial)
@@ -320,7 +309,7 @@ class TestSample:
         assert hist.counts == {"10": 50}
 
     def test_measured_qubits_select_and_order(self):
-        circ = circuit(3, x(2), Gate("measure", (2, 0)))
+        circ = Circuit(3, (x(2),), measured=(2, 0))
         hist = sample(circ, 20, seed=0)
         # qubit 2 reads 1 and comes first, qubit 0 reads 0
         assert hist.counts == {"10": 20}
@@ -369,7 +358,7 @@ class TestRepeatedMeasurement:
             state.distribution(qubits=(1, 0, 1))
 
     def test_sample_circuit_measuring_twice(self):
-        circ = circuit(2, h(0), measure(0), measure(0))
+        circ = Circuit(2, (h(0),), measured=(0, 0))
         with pytest.raises(ValueError, match="qubit 0 "):
             sample(circ, 10, seed=0)
 
@@ -420,8 +409,7 @@ def random_state_prefix(draw, n):
 def run_circuits(draw):
     """Runs on one target in Gray form, tree form or both, cut by other gates.
 
-    Bare X gates on the controls and on the target and measurements fall
-    inside runs; h, rz, a two-control X and an ry on part of the control
+    Bare X gates on the controls and on the target fall inside runs; h, rz, a two-control X and an ry on part of the control
     set end a run or make it fall back to per-gate replay.
     """
     n = draw(st.integers(2, 5))
@@ -434,7 +422,7 @@ def run_circuits(draw):
         controls = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
         form = draw(st.sampled_from(("gray", "tree", "mixed")))
         steps = {"gray": ("ry", "cx"), "tree": ("cry",), "mixed": ("ry", "cx", "cry")}[form]
-        steps += ("x-control", "x-target", "measure")
+        steps += ("x-control", "x-target")
         for _ in range(draw(st.integers(1, 12))):
             step = draw(st.sampled_from(steps))
             if step == "ry":
@@ -447,10 +435,8 @@ def run_circuits(draw):
                                   tuple((q, draw(polarity)) for q in controls), draw(angle)))
             elif step == "x-control":
                 gates.append(x(draw(st.sampled_from(controls))))
-            elif step == "x-target":
-                gates.append(x(target))
             else:
-                gates.append(measure(draw(st.sampled_from(range(n)))))
+                gates.append(x(target))
         cut = draw(st.sampled_from(("none", "h", "rz", "ccx", "partial")))
         if cut == "h":
             gates.append(h(draw(st.sampled_from(range(n)))))

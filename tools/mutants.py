@@ -50,6 +50,7 @@ READ_WRITE_PROPERTY = "tests/test_qasm.py::test_read_write_match_reference"
 FRAME_PROPERTY = "tests/test_circuit.py::test_lower_negative_controls_frame_matches_conjugation"
 CHECK_PROPERTY = "tests/test_circuit.py::test_circuit_checks_match_reference"
 ADDRESS_ORDER = "tests/test_encoding.py::TestMemoryImage::test_addresses_read_in_ascending_order"
+ROUND_TRIP_PROPERTY = "tests/test_qasm.py::test_emit_parse_gives_back_the_circuit"
 
 MUTANTS = (
     # the bit-sliced ESOP reference of `qsynth verify`
@@ -123,6 +124,21 @@ MUTANTS = (
         (ADDRESS_ORDER,)),
     Mutant("angle-addresses-unsorted", "encoding.py", (
         ("zip(sorted(table.entries), angles)", "zip(table.entries, angles)"),), (ADDRESS_ORDER,)),
+    # a measurement ends the circuit
+    Mutant("parse-gate-after-measurement", "qasm.py", (
+        ('        if measured:\n            raise UnsupportedStatement(f"gate {stmt!r} follows '
+         'a measurement")\n', ""),),
+        ("tests/test_qasm.py::TestParse::test_gate_after_measurement",)),
+    Mutant("emit-measured-reversed", "qasm.py", (
+        ("enumerate(circuit.measured))", "enumerate(circuit.measured[::-1]))"),),
+        (ROUND_TRIP_PROPERTY,)),
+    # classical verify checks every input word, and a table stays as checked
+    Mutant("verify-listed-minterms-only", "cli.py", (
+        ("range(1 << table.n)", "sorted({int(ins, 2) for ins, _ in expand(table).rows})"),),
+        ("tests/test_cli.py::TestVerify::test_unlisted_input_word_is_checked",)),
+    Mutant("truth-table-mutable-dict", "funcprep.py", (
+        ('        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))\n',
+         ""),), ("tests/test_funcprep.py::test_truth_table_entries_read_only",)),
 )
 
 

@@ -8,10 +8,10 @@ emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
 one), a gate count is ``len(circuit)``, a control count is
 ``len(gate.controls)``, and each other size is a field of ``metrics``.
-Every gate has one target.  Rotation kinds carry an angle in radians; no
-other kind does.  A ``Gate`` is a plain record: the ``Circuit`` it joins
-checks it, once per distinct gate object.  A measurement is not a gate:
-a circuit's ``measured`` qubits are read after its last gate.
+Every gate has one int ``target``.  Rotation kinds carry an angle in
+radians; no other kind does.  A ``Gate`` is a plain record: the ``Circuit``
+it joins checks it, once per distinct gate object.  A measurement is not
+a gate: a circuit's ``measured`` qubits, each once, follow its last gate.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ class Gate:
     """A plain record; the ``Circuit`` it joins checks it."""
 
     kind: str
-    targets: tuple[int, ...]
+    target: int
     controls: tuple[tuple[int, bool], ...] = ()
     angle: float | None = None
 
     @property
     def qubits(self) -> tuple[int, ...]:
         """Every qubit the gate touches, controls first."""
-        if not self.controls:
-            return self.targets
-        return tuple([q for q, _ in self.controls]) + self.targets
+        return (*[q for q, _ in self.controls], self.target)
 
 
 def _coerce_controls(controls) -> tuple[tuple[int, bool], ...]:
@@ -53,39 +51,39 @@ def _coerce_controls(controls) -> tuple[tuple[int, bool], ...]:
 
 
 def x(target: int, controls=()) -> Gate:
-    return Gate("x", (target,), _coerce_controls(controls))
+    return Gate("x", target, _coerce_controls(controls))
 
 
 def h(target: int) -> Gate:
-    return Gate("h", (target,))
+    return Gate("h", target)
 
 
 def z(target: int, controls=()) -> Gate:
-    return Gate("z", (target,), _coerce_controls(controls))
+    return Gate("z", target, _coerce_controls(controls))
 
 
 def cz(control: int, target: int) -> Gate:
-    return Gate("z", (target,), ((control, True),))
+    return Gate("z", target, ((control, True),))
 
 
 def rx(angle: float, target: int, controls=()) -> Gate:
-    return Gate("rx", (target,), _coerce_controls(controls), float(angle))
+    return Gate("rx", target, _coerce_controls(controls), float(angle))
 
 
 def ry(angle: float, target: int, controls=()) -> Gate:
-    return Gate("ry", (target,), _coerce_controls(controls), float(angle))
+    return Gate("ry", target, _coerce_controls(controls), float(angle))
 
 
 def rz(angle: float, target: int, controls=()) -> Gate:
-    return Gate("rz", (target,), _coerce_controls(controls), float(angle))
+    return Gate("rz", target, _coerce_controls(controls), float(angle))
 
 
 def sx(target: int, controls=()) -> Gate:
-    return Gate("sx", (target,), _coerce_controls(controls))
+    return Gate("sx", target, _coerce_controls(controls))
 
 
 def sxdg(target: int, controls=()) -> Gate:
-    return Gate("sxdg", (target,), _coerce_controls(controls))
+    return Gate("sxdg", target, _coerce_controls(controls))
 
 
 def _distinct(gates) -> Iterable[Gate]:
@@ -124,7 +122,7 @@ class Circuit:
     Construction is the one place that checks gates, so a gate from
     ``extend``, ``replace`` or ``parse_qasm`` meets every rule.
     ``measured`` lists the qubits read after the last gate; entry j is
-    outcome bit j, and a qubit may be listed more than once.
+    outcome bit j, and no qubit is listed twice.
     """
 
     num_qubits: int
@@ -137,18 +135,16 @@ class Circuit:
         if n <= 0:
             raise ValueError("circuit needs at least one qubit")
         for g in _distinct(self.gates):
-            if not (isinstance(g.targets, tuple) and isinstance(g.controls, tuple)):
-                raise ValueError(f"{g}: targets and controls must be tuples")
+            if not (type(g.target) is int and isinstance(g.controls, tuple)):
+                raise ValueError(f"{g}: the target must be an int and the controls a tuple")
             if g.kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
-            if len(g.targets) != 1:
-                raise ValueError(f"{g} needs one target")
             if (g.angle is None) == (g.kind in ROTATION_KINDS):
                 raise ValueError(f"{g}: rotations, and only rotations, take an angle")
             if not g.controls:  # most gates: no qubit set to build
-                lo = hi = g.targets[0]
+                lo = hi = g.target
             else:
-                qs = {q for q, _ in g.controls}.union(g.targets)  # g.qubits, without a tuple
+                qs = {g.target, *[q for q, _ in g.controls]}  # g.qubits, without a tuple
                 if len(qs) != len(g.controls) + 1:
                     raise ValueError(f"{g} uses a qubit twice")
                 lo, hi = min(qs), max(qs)
@@ -158,6 +154,8 @@ class Circuit:
             raise ValueError("labels must name every qubit")
         if not all(0 <= q < n for q in self.measured):
             raise ValueError(f"a measured qubit lies outside 0..{n - 1}")
+        if twice := [q for q in self.measured if self.measured.count(q) > 1]:
+            raise ValueError(f"measured qubit {twice[0]} is listed more than once")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -181,7 +179,7 @@ class Metrics:
 def metrics(circuit: Circuit) -> Metrics:
     """Every size measure of ``circuit`` from one walk over its gates.
 
-    Complexity sums controls plus targets over the gates, and the
+    Complexity sums controls plus the target over the gates, and the
     parameterized count counts gates that carry an angle; both count
     every occurrence of a repeated Gate object.  Depth is the longest
     chain of gates that pairwise share a qubit: two gates conflict iff
@@ -223,18 +221,18 @@ def lower_negative_controls(circuit: Circuit) -> Circuit:
     frame = [False] * circuit.num_qubits
     out: list[Gate] = []
 
-    def step(gate: Gate):
-        needs = ([(q, not pos) for q, pos in gate.controls]
-                 + [(q, False) for q in gate.targets if gate.kind != "x"])
-        positive = tuple((q, True) for q, _ in gate.controls)
-        return needs, gate if positive == gate.controls else Gate(
-            gate.kind, gate.targets, positive, gate.angle)
+    def positive(gate: Gate) -> Gate:  # a copy only when a control is negative
+        return gate if all(pos for _, pos in gate.controls) else Gate(
+            gate.kind, gate.target, tuple([(q, True) for q, _ in gate.controls]), gate.angle)
 
-    for needs, gate in _per_gate(circuit.gates, step):
-        for q, bit in needs:
-            if frame[q] != bit:
-                frame[q] = bit
+    for gate, lowered in zip(circuit.gates, _per_gate(circuit.gates, positive)):
+        for q, pos in gate.controls:  # the frame bit must end as `not pos`
+            if frame[q] == pos:
+                frame[q] = not pos
                 out.append(flips[q])
-        out.append(gate)
+        if frame[gate.target] and gate.kind != "x":
+            frame[gate.target] = False
+            out.append(flips[gate.target])
+        out.append(lowered)
     out += [flips[q] for q in range(circuit.num_qubits) if frame[q]]
     return replace(circuit, gates=tuple(out))

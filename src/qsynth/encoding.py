@@ -167,7 +167,7 @@ def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
     for level, thetas in enumerate(tree.levels):
         # node i's controls spell i in binary, qubit 0 most significant
         patterns = itertools.product(*(((q, False), (q, True)) for q in range(level)))
-        gates.extend(Gate("ry", (level,), controls, 2.0 * theta)
+        gates.extend(Gate("ry", level, controls, 2.0 * theta)
                      for theta, controls in zip(thetas, patterns)
                      if not (prune and theta == 0.0))
     return Circuit(num_qubits=nq, gates=tuple(gates))

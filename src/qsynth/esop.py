@@ -205,6 +205,6 @@ def synth_esop(spec: EsopSpec) -> Circuit:
         controls = tuple((j, c == "1") for j, c in enumerate(ins) if c != "-")
         for k, bit in enumerate(outs):
             if bit == "1":
-                gates.append(Gate("x", (n + k,), controls))
+                gates.append(Gate("x", n + k, controls))
     labels = tuple(f"x{j}" for j in range(n)) + tuple(f"f{k}" for k in range(m))
     return Circuit(num_qubits=n + m, gates=tuple(gates), labels=labels)

@@ -65,7 +65,7 @@ def _diffusion_gates(n: int) -> list[Gate]:
     gates: list[Gate] = [h(q) for q in range(n)]
     gates += [x(q) for q in range(n)]
     gates.append(h(n - 1))
-    gates.append(Gate("x", (n - 1,), tuple((q, True) for q in range(n - 1))))
+    gates.append(Gate("x", n - 1, tuple((q, True) for q in range(n - 1))))
     gates.append(h(n - 1))
     gates += [x(q) for q in range(n)]
     gates += [h(q) for q in range(n)]

@@ -28,7 +28,7 @@ from .circuit import (
     rz,
     x,
 )
-from .encoding import angle_tree, synth_amplitude
+from .encoding import synth_amplitude
 from .errors import NoSymmetry, PatternIncomplete
 from .funcprep import Pmf
 
@@ -51,16 +51,16 @@ def remove_double_x(circuit: Circuit) -> Circuit:
     # open_x[q] = index in `out` of an unmatched bare X on qubit q
     open_x: dict[int, int] = {}
     for gate in circuit.gates:
+        q = gate.target
         if gate.kind == "x" and not gate.controls:
-            q = gate.targets[0]
             if q in open_x:
                 out[open_x.pop(q)] = None
                 continue
             open_x[q] = len(out)
-            out.append(gate)
-            continue
-        for q in gate.qubits:
+        else:  # pop each qubit directly: gate.qubits would build a tuple
             open_x.pop(q, None)
+            for c, _ in gate.controls:
+                open_x.pop(c, None)
         out.append(gate)
     return replace(circuit, gates=tuple(g for g in out if g is not None))
 
@@ -79,18 +79,18 @@ def _ladder(circuit: Circuit, wants) -> Circuit:
     ``circuit`` and shared by every run; the control polarities ride on
     the chain.  Each gate of the run, controlled by the last ancilla
     alone, sits between the chain and its mirror, which returns every
-    ancilla to 0.  Each step is one ``Gate("x", (a,), (c1, c2))`` per
+    ancilla to 0.  Each step is one ``Gate("x", a, (c1, c2))`` per
     (control, control, ancilla) for the whole call, so chains that share
     their leading controls share their steps' objects, and each distinct
     gate's ancilla-controlled copy is built once.
     """
     n = circuit.num_qubits
-    step = functools.cache(lambda c1, c2, a: Gate("x", (a,), (c1, c2)))
+    step = functools.cache(lambda c1, c2, a: Gate("x", a, (c1, c2)))
 
     def lift(gate: Gate):
         if not wants(gate):
             return None, gate
-        return gate.controls, Gate(gate.kind, gate.targets,
+        return gate.controls, Gate(gate.kind, gate.target,
                                    ((n + len(gate.controls) - 2, True),), gate.angle)
 
     out: list[Gate] = []
@@ -109,13 +109,13 @@ def _five_gate(gate: Gate) -> list[Gate]:
     if gate.kind != "x" or len(gate.controls) != 2:
         return [gate]
     (a, _), (b, _) = gate.controls
-    t = gate.targets[0]
+    t = gate.target
     return [
-        Gate("sx", (t,), ((b, True),)),
-        Gate("x", (b,), ((a, True),)),
-        Gate("sxdg", (t,), ((b, True),)),
-        Gate("x", (b,), ((a, True),)),
-        Gate("sx", (t,), ((a, True),)),
+        Gate("sx", t, ((b, True),)),
+        Gate("x", b, ((a, True),)),
+        Gate("sxdg", t, ((b, True),)),
+        Gate("x", b, ((a, True),)),
+        Gate("sx", t, ((a, True),)),
     ]
 
 
@@ -176,7 +176,7 @@ def _walsh_angles(thetas: list[float]) -> list[float]:
 def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gate]:
     """Replace one run over the sorted ``controls`` by its Gray-code form."""
     kind = run[0].kind
-    target = run[0].targets[0]
+    target = run[0].target
     k = len(controls)
     size = 1 << k
     # pattern bit j corresponds to controls[j]
@@ -199,7 +199,7 @@ def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gat
     out: list[Gate] = []
     for i in range(size):
         if alphas[i] != 0.0:
-            out.append(Gate(kind, (target,), (), alphas[i]))
+            out.append(Gate(kind, target, (), alphas[i]))
         diff = _gray(i) ^ _gray((i + 1) % size)
         out.append(entanglers[diff.bit_length() - 1])
     # adjacent copies of one entangler cancel once zero rotations are gone
@@ -216,7 +216,7 @@ def _run_key(gate: Gate):
     """Gates with equal keys form one run; None for every non-rotation."""
     if gate.kind not in ROTATION_KINDS:
         return None
-    return gate.kind, gate.targets, sorted(q for q, _ in gate.controls)
+    return gate.kind, gate.target, sorted(q for q, _ in gate.controls)
 
 
 def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
@@ -255,7 +255,7 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
 def _shift(gate: Gate, offset: int) -> Gate:
     return Gate(
         gate.kind,
-        tuple(t + offset for t in gate.targets),
+        gate.target + offset,
         tuple((q + offset, pol) for q, pol in gate.controls),
         gate.angle,
     )
@@ -332,7 +332,7 @@ def _relative_toffoli(a: int, b: int, t: int) -> list[Gate]:
 def _single_control_abc(gate: Gate) -> list[Gate]:
     """One positive control, any non-X kind, over {h, cx, rx, ry, rz}."""
     (c, _), = gate.controls
-    t = gate.targets[0]
+    t = gate.target
     kind = gate.kind
     if kind in ("rz", "ry"):
         rot = rz if kind == "rz" else ry
@@ -357,7 +357,7 @@ def _single_control_abc(gate: Gate) -> list[Gate]:
 
 def _bare_translation(gate: Gate) -> list[Gate]:
     kind = gate.kind
-    t = gate.targets[0]
+    t = gate.target
     if kind == "z":
         return [rz(math.pi, t)]
     if kind == "sx":
@@ -391,7 +391,7 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     def lower(gate: Gate) -> list[Gate]:
         if len(gate.controls) == 2:
             (a, _), (b, _) = gate.controls
-            t = gate.targets[0]
+            t = gate.target
             return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)
         if len(gate.controls) == 1:
             return [gate] if gate.kind == "x" else _single_control_abc(gate)

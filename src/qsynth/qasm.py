@@ -181,28 +181,28 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     entry j into c[j].  In both modes ``lower_negative_controls``
     makes negative controls positive through its X frame.  Angles are
     printed with repr so parsing them back is exact.  The check, the name
-    and the operand list are worked out once per (kind, targets,
+    and the operand list are worked out once per (kind, target,
     controls), and each distinct Gate object is formatted once.
     """
     if gateset not in ("natural", "uniform"):
         raise ValueError(f"unknown gateset {gateset!r}")
     circuit = lower_negative_controls(circuit)
     names: set[str] = set()
-    shapes: dict = {}  # (kind, targets, controls) -> its line, or the text around its angle
+    shapes: dict = {}  # (kind, target, controls) -> its line, or the text around its angle
 
-    def shape(kind: str, targets, controls) -> str | tuple[str, str]:
+    def shape(kind: str, target: int, controls) -> str | tuple[str, str]:
         if gateset == "uniform" and (kind not in UNIFORM_GATESET or len(controls) > (kind == "x")):
             raise UnsupportedGateForGateset(
                 f"{kind} with {len(controls)} controls is outside the uniform gateset")
         name = _mc_name(kind, len(controls))
         names.add(name)
-        operands = ",".join([f"q[{q}]" for q, _ in controls] + [f"q[{q}]" for q in targets])
+        operands = ",".join([f"q[{q}]" for q, _ in controls] + [f"q[{target}]"])
         if kind in ROTATION_KINDS:
             return f"{name}(", f") {operands};"
         return f"{name} {operands};"
 
     def application(gate: Gate) -> str:
-        key = gate.kind, gate.targets, gate.controls
+        key = gate.kind, gate.target, gate.controls
         text = shapes.get(key) or shapes.setdefault(key, shape(*key))
         return text if gate.angle is None else f"{text[0]}{gate.angle!r}{text[1]}"
 
@@ -281,7 +281,7 @@ def _parse_application(stmt: str) -> Gate:
     elif kind in ROTATION_KINDS:
         raise UnsupportedStatement(f"{m.group('name')} needs a parameter")
     controls = tuple((q, True) for q in qubits[:-1])
-    return Gate(kind, (qubits[-1],), controls, angle)
+    return Gate(kind, qubits[-1], controls, angle)
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -347,7 +347,7 @@ def parse_qasm(text: str) -> Circuit:
                     continue
                 gate = _parse_application(stmt)
                 if paren:
-                    shape_of[head, tail] = gate.kind, gate.targets, gate.controls
+                    shape_of[head, tail] = gate.kind, gate.target, gate.controls
             gate_of[stmt] = gate
         if measured:
             raise UnsupportedStatement(f"gate {stmt!r} follows a measurement")

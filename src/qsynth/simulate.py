@@ -120,7 +120,7 @@ def run_reversible_table(circuit: Circuit, words=None) -> list[int]:
         fire = fire_all
         for q, positive in g.controls:
             fire &= columns[q] if positive else ~columns[q]
-        columns[g.targets[0]] ^= fire
+        columns[g.target] ^= fire
     return _words_of(columns, rows)
 
 
@@ -191,7 +191,7 @@ def run_statevector(circuit: Circuit, initial: int = 0) -> Statevector:
     flipped = [False] * n
     gates, start = circuit.gates, 0
     while start < len(gates):
-        target, end = gates[start].targets[0], start
+        target, end = gates[start].target, start
         while end < len(gates) and _joins(gates[end], target):
             end += 1
         run = gates[start:max(end, start + 1)]
@@ -211,7 +211,7 @@ def _joins(g, target: int) -> bool:
     most one control on it, or a bare X anywhere."""
     if g.kind == "x" and not g.controls:
         return True
-    return g.targets[0] == target and (g.kind == "ry" or g.kind == "x" and len(g.controls) == 1)
+    return g.target == target and (g.kind == "ry" or g.kind == "x" and len(g.controls) == 1)
 
 
 def _apply_run(state: np.ndarray, run, flipped: list[bool]) -> bool:
@@ -233,12 +233,12 @@ def _apply_run(state: np.ndarray, run, flipped: list[bool]) -> bool:
     # an ry fires on pattern sum(fires[c] for c in its controls) ^ frame
     fires = {(q, positive): b if positive else 0 for q, b in bit.items() for positive in (0, 1)}
     frame = sum(b for q, b in bit.items() if flipped[q])
-    target = run[0].targets[0]
+    target = run[0].target
     sign = -1.0 if flipped[target] else 1.0
     walsh, direct = [0.0] * (1 << k), [0.0] * (1 << k)
     mask = flip = 0
     for g in run:
-        q = g.targets[0]
+        q = g.target
         if g.kind == "ry" and g.controls:
             pattern = sum(map(fires.__getitem__, g.controls)) ^ frame
             negate = (flip + (mask & pattern).bit_count()) & 1
@@ -297,7 +297,7 @@ def _update(state: np.ndarray, index: list, target: int, m00, m01, m10, m11) -> 
 
 def _apply_gate(state: np.ndarray, g, flipped: list[bool]) -> None:
     """Apply one gate through the X frame."""
-    target = g.targets[0]
+    target = g.target
     if g.kind == "x" and not g.controls:
         flipped[target] = not flipped[target]
     else:

@@ -68,7 +68,7 @@ def _check_square_bijection(table: TruthTable) -> None:
 
 def _as_gate(n: int, mask: int, bit: int) -> Gate:
     controls = tuple((n - 1 - b, True) for b in range(n - 1, -1, -1) if (mask >> b) & 1)
-    return Gate("x", (n - 1 - bit,), controls)
+    return Gate("x", n - 1 - bit, controls)
 
 
 class _Sweep:

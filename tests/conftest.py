@@ -88,5 +88,5 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
         controls = tuple(
             (q, rng.random() < 0.5) for q in sorted(rng.sample(pool, k)))
         angle = rng.uniform(0.1, 6.0) if kind in ("rx", "ry", "rz") else None
-        gates.append(Gate(kind, (target,), controls, angle))
+        gates.append(Gate(kind, target, controls, angle))
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))

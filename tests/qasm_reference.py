@@ -82,7 +82,7 @@ def _parse_application(stmt: str) -> Gate:
     elif kind in ("rx", "ry", "rz"):
         raise UnsupportedStatement(f"{m.group('name')} needs a parameter")
     controls = tuple((q, True) for q in qubits[:-1])
-    return Gate(kind, (qubits[-1],), controls, angle)
+    return Gate(kind, qubits[-1], controls, angle)
 
 
 def parse_qasm(text: str) -> Circuit:

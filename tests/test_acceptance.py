@@ -75,7 +75,7 @@ def multiplexed_run(kind, target, controls, angles):
     gates = []
     for pattern, angle in enumerate(angles):
         ctl = tuple((q, bool((pattern >> j) & 1)) for j, q in enumerate(controls))
-        gates.append(Gate(kind, (target,), ctl, angle))
+        gates.append(Gate(kind, target, ctl, angle))
     return gates
 
 

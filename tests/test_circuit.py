@@ -19,8 +19,6 @@ from qsynth.circuit import (
     lower_negative_controls,
     metrics,
     rx,
-    ry,
-    rz,
     x,
 )
 from qsynth.qasm import parse_qasm
@@ -31,13 +29,13 @@ from conftest import random_circuit, unitary
 def test_gate_validation():
     # a Gate is a plain record: the circuit it joins rejects it
     for gate in (
-        Gate("warp", (0,)),
-        Gate("x", ()),
-        Gate("x", (0,), ((0, True),)),       # control overlaps target
-        Gate("x", (0,), ((1, True), (1, False))),
-        Gate("rx", (0,)),                    # missing angle
-        Gate("x", (0,), angle=1.0),          # angle on a fixed gate
-        Gate("measure", (0,)),               # a measurement is not a gate
+        Gate("warp", 0),
+        Gate("x", ()),                 # the target is one int, not a tuple
+        Gate("x", 0, ((0, True),)),    # control overlaps target
+        Gate("x", 0, ((1, True), (1, False))),
+        Gate("rx", 0),                 # missing angle
+        Gate("x", 0, angle=1.0),       # angle on a fixed gate
+        Gate("measure", 0),            # a measurement is not a gate
         Gate("h", (0, 1)),
     ):
         with pytest.raises(ValueError):
@@ -47,7 +45,7 @@ def test_gate_validation():
 def test_helpers_build_expected_gates():
     g = x(2, ((0, True), (1, False)))
     assert g.kind == "x"
-    assert g.targets == (2,)
+    assert g.target == 2
     assert g.controls == ((0, True), (1, False))
     assert rx(0.5, 1).angle == 0.5
 
@@ -64,10 +62,10 @@ def test_circuit_validation():
 def test_measured_qubits_in_order():
     circ = Circuit(num_qubits=3, gates=(h(1),), measured=(2, 0, 1))
     assert circ.measured == (2, 0, 1)
-    # measured counts for equality, labels do not; a qubit may repeat
+    # measured counts for equality, labels do not
     assert circ != Circuit(3, (h(1),), measured=(2, 1, 0))
-    assert Circuit(3, (h(1),), ("a", "b", "c"), (0, 0)) == Circuit(3, (h(1),), (), (0, 0))
-    for bad in ((3,), (0, -1)):
+    assert Circuit(3, (h(1),), ("a", "b", "c"), (0, 2)) == Circuit(3, (h(1),), (), (0, 2))
+    for bad in ((3,), (0, -1), (1, 1)):
         with pytest.raises(ValueError, match="measured qubit"):
             Circuit(3, (h(1),), measured=bad)
 
@@ -106,9 +104,9 @@ def test_depth_empty():
 
 
 def test_cz_needs_a_control():
-    assert cz(0, 1) == Gate("z", (1,), ((0, True),))
+    assert cz(0, 1) == Gate("z", 1, ((0, True),))
     with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
-        Circuit(2, (Gate("cz", (1,), ((0, True),)),))
+        Circuit(2, (Gate("cz", 1, ((0, True),)),))
 
 
 def test_lower_negative_controls_removes_them(rng):
@@ -165,7 +163,7 @@ def polarity_circuits(draw):
         controls = tuple((q, draw(polarity)) for q in chosen)
         negatives += [q for q, pos in controls if not pos]
         angle = draw(st.floats(-6.0, 6.0)) if kind in ROTATION_KINDS else None
-        gates.append(Gate(kind, (target,), controls, angle))
+        gates.append(Gate(kind, target, controls, angle))
     return Circuit(n, tuple(gates))
 
 
@@ -188,15 +186,15 @@ def test_lower_negative_controls_frame_spans_x_targets():
     assert [g.kind for g in low.gates] == ["x"] * 5
     assert low.gates[0] is low.gates[4]
     assert low.gates[1] is low.gates[3]
-    assert low.gates[0].targets == (0,) and not low.gates[0].controls
+    assert low.gates[0].target == 0 and not low.gates[0].controls
 
 
 def test_lower_negative_controls_flushes_before_other_targets():
     neg = x(1, ((0, False),))
     low = lower_negative_controls(Circuit(2, (neg, h(0), neg)))
-    assert [(g.kind, g.targets) for g in low.gates] == [
-        ("x", (0,)), ("x", (1,)), ("x", (0,)), ("h", (0,)),
-        ("x", (0,)), ("x", (1,)), ("x", (0,))]
+    assert [(g.kind, g.target) for g in low.gates] == [
+        ("x", 0), ("x", 1), ("x", 0), ("h", 0),
+        ("x", 0), ("x", 1), ("x", 0)]
 
 
 def test_extend_returns_new_circuit():
@@ -223,7 +221,7 @@ def reference_metrics(circuit: Circuit) -> Metrics:
     return Metrics(
         qubits=circuit.num_qubits,
         gate_count=len(circuit.gates),
-        complexity=sum(len(g.controls) + len(g.targets) for g in circuit.gates),
+        complexity=sum(len(g.controls) + 1 for g in circuit.gates),
         depth=max(level),
         parameterized_gate_count=sum(1 for g in circuit.gates if g.angle is not None),
     )
@@ -248,22 +246,18 @@ def reference_gate_check(g: Gate, n: int) -> None:
     ``Gate.__post_init__``, then the circuit's qubit-range loop."""
     if g.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {g.kind!r}")
-    if not g.targets:
-        raise ValueError("gate needs at least one target")
-    if len(set(g.targets)) != len(g.targets):
-        raise ValueError("repeated target qubit")
+    if type(g.target) is not int:
+        raise ValueError("the target must be an int")
     control_qubits = [q for q, _ in g.controls]
     if len(set(control_qubits)) != len(control_qubits):
         raise ValueError("repeated control qubit")
-    if set(control_qubits) & set(g.targets):
+    if g.target in control_qubits:
         raise ValueError("control and target qubits overlap")
     if g.kind in ROTATION_KINDS:
         if g.angle is None:
             raise ValueError(f"{g.kind} needs an angle")
     elif g.angle is not None:
         raise ValueError(f"{g.kind} does not take an angle")
-    if len(g.targets) != 1:
-        raise ValueError(f"{g.kind} takes exactly one target")
     for q in g.qubits:
         if not 0 <= q < n:
             raise ValueError(f"gate touches qubit {q} outside 0..{n - 1}")
@@ -271,21 +265,21 @@ def reference_gate_check(g: Gate, n: int) -> None:
 
 @st.composite
 def any_gates(draw):
-    """(gate, n): any kind or an unknown one, 0-3 targets, 0-3 controls,
+    """(gate, n): any kind or an unknown one, a target, 0-3 controls,
     qubits in -1..n, and an angle or none, valid or not.
 
-    Most gates have one target, half keep every qubit inside 0..n-1 and
-    half repeat none, so each rule meets gates that break only it.
+    Most targets are an int; the rest are a 1-tuple (the old tuple form),
+    None or a bool.  Half keep every qubit inside 0..n-1 and half repeat none,
+    so each rule meets gates that break only it.
     """
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1) if draw(st.booleans()) else st.integers(-1, n)
-    qubits = draw(st.lists(qubit, max_size=6, unique=draw(st.booleans())))
-    split = draw(st.sampled_from((1, 1, 0, 2, 3)))
-    targets = tuple(qubits[:split])
-    controls = tuple((q, draw(st.booleans())) for q in qubits[split:split + 3])
+    qubits = draw(st.lists(qubit, min_size=1, max_size=4, unique=draw(st.booleans())))
+    target = draw(st.sampled_from((qubits[0],) * 3 + ((qubits[0],), None, True)))
+    controls = tuple((q, draw(st.booleans())) for q in qubits[1:])
     kind = draw(st.sampled_from(sorted(GATE_KINDS) + ["warp"]))
     angle = draw(st.none() | st.floats(-6.0, 6.0))
-    return Gate(kind, targets, controls, angle), n
+    return Gate(kind, target, controls, angle), n
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
@@ -309,17 +303,34 @@ def test_circuit_checks_match_reference(case):
 ], ids=["init", "extend", "replace"])
 def test_bad_gate_rejected_where_it_joins(join):
     with pytest.raises(ValueError, match=r"Gate\(kind='x'.* uses a qubit twice"):
-        join(Gate("x", (0,), ((0, True),)))
+        join(Gate("x", 0, ((0, True),)))
 
 
 @pytest.mark.parametrize("gate", [
     Gate("x", [0]),
-    Gate("x", (1,), [(0, True)]),
+    Gate("x", 1, [(0, True)]),
 ], ids=["targets", "controls"])
 def test_list_fields_rejected(gate):
-    # a list field would break tuple concatenation in Gate.qubits later
-    with pytest.raises(ValueError, match=r"Gate\(kind='x'.* must be tuples"):
+    # a list target is no int, and a list of controls is no tuple
+    with pytest.raises(ValueError, match=r"Gate\(kind='x'.* an int and the controls a tuple"):
         Circuit(2, (gate,))
+
+
+@pytest.mark.parametrize("target", [(0,), None, True], ids=["tuple", "none", "bool"])
+def test_non_int_targets_fail_loudly(target):
+    # the old 1-tuple form; a bool would be written as q[True]; a list
+    # target is test_list_fields_rejected[targets]
+    with pytest.raises(ValueError, match="the target must be an int"):
+        Circuit(1, (Gate("x", target),))
+
+
+@pytest.mark.parametrize("gate, qubits", [
+    (h(1), (1,)),
+    (x(2, ((0, True), (1, False))), (0, 1, 2)),
+    (rx(0.5, 0, ((3, True),)), (3, 0)),
+], ids=["bare", "controlled", "control-above-target"])
+def test_qubits_are_controls_then_target(gate, qubits):
+    assert gate.qubits == qubits
 
 
 def test_parse_qasm_rejects_a_repeated_operand():

@@ -59,7 +59,7 @@ class TestBasis:
         for gate in circ.gates:
             assert gate.kind == "x"
             assert gate.controls == ((0, True), (1, False))
-        assert {g.targets[0] for g in circ.gates} == {2, 3}
+        assert {g.target for g in circ.gates} == {2, 3}
 
     def test_readback(self, rng):
         n, m = 3, 4
@@ -96,7 +96,7 @@ class TestAngle:
         assert circ.labels == ("a0", "a1", "d0")
         first, second = circ.gates
         assert first.kind == "rx" and first.angle == 1.0
-        assert first.targets == (2,)
+        assert first.target == 2
         assert first.controls == ((0, False), (1, True))
         assert second.kind == "rz" and second.angle == 0.75
         assert second.controls == ((0, True), (1, False))
@@ -171,9 +171,9 @@ class TestAmplitude:
     def test_level_controls_are_path_prefixes(self):
         circ = synth_amplitude(Pmf(probs=(0.25,) * 4))
         l0, l1a, l1b = circ.gates
-        assert l0.targets == (0,) and l0.controls == ()
-        assert l1a.targets == (1,) and l1a.controls == ((0, False),)
-        assert l1b.targets == (1,) and l1b.controls == ((0, True),)
+        assert l0.target == 0 and l0.controls == ()
+        assert l1a.target == 1 and l1a.controls == ((0, False),)
+        assert l1b.target == 1 and l1b.controls == ((0, True),)
 
     def test_prepared_distribution(self, rng):
         raw = [rng.random() for _ in range(32)]

@@ -206,9 +206,9 @@ class TestSynth:
         circ = synth_esop(spec)
         assert len(circ.gates) == 3
         g0, g1, g2 = circ.gates
-        assert g0.targets == (2,) and g0.controls == ((0, False), (1, True))
-        assert g1.targets == (3,) and g1.controls == ((0, False), (1, True))
-        assert g2.targets == (3,) and g2.controls == ((0, True),)
+        assert g0.target == 2 and g0.controls == ((0, False), (1, True))
+        assert g1.target == 3 and g1.controls == ((0, False), (1, True))
+        assert g2.target == 3 and g2.controls == ((0, True),)
 
     def test_dash_columns_have_no_controls(self):
         spec = EsopSpec(n=3, m=1, cubes=(("---", "1"),))

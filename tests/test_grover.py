@@ -128,16 +128,16 @@ class TestBuildGrover:
 
     @pytest.mark.parametrize("cubes,k,sha256,qasm_sha256", [
         ((card_cube("diamonds", 10),), 6,
-         "35e131977030a7fa8b86eef730a555ae0111e050307d2dc6abacddfb5cc21dfd",
+         "6733a534f9c4f38e10c5b158a6abce78f142000eb489dac7d215e3aa1243c4e7",
          "85eda873480922c44675684fb94f9d98aae5c2529343a517cb2452b8dfe4fd57"),
         ((card_cube("clubs"),), 2,
-         "8e738efcbb513d3e00bee28ed606cf9b86aa3d35560926502a54287f8d69f341",
+         "9950801592b22a3b0a705e489b0ed84fd464a3d5334121741b487408fd0dc965",
          "4cf93323db386542de35ea874ffc4f4c9ac7e0d36eff82a5ef00388ca802e7e1"),
         # overlapping cubes: the oracle goes through the exclusive rewrite
         ((card_cube("hearts"), card_cube(value=1)), 1,
-         "f452cb5b6f2aebacabe3524c7d81de353dd90929708777d52158f260d3ec6f98",
+         "a90e0a7874424f5b00bab190a5bd41f482dc36b09d9253a491643a2a0bf65df3",
          "becc3b02f604fb676c992ed02ebb5a8da740ba41bb87702ece4b9002935e9c0f"),
-    ])
+    ], ids=["diamonds-10", "clubs", "hearts-or-aces"])
     def test_card_gates_pinned(self, cubes, k, sha256, qasm_sha256):
         table = predicate(6, [(cube, "1") for cube in cubes])
         circ = build_grover(GroverSpec(n=6, predicate=table, k=k))

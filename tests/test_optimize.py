@@ -92,7 +92,7 @@ class TestMcxLadder:
         assert np.allclose(project_unitary(low, 4), unitary(circ), atol=1e-12)
 
     def test_negative_polarities_ride_along(self):
-        gate = Gate("x", (3,), ((0, False), (1, True), (2, False)))
+        gate = Gate("x", 3, ((0, False), (1, True), (2, False)))
         circ = circuit(4, gate)
         low = mcx_ladder(circ)
         assert np.allclose(project_unitary(low, 4), unitary(circ), atol=1e-12)
@@ -141,7 +141,7 @@ class TestFiveGate:
         assert np.allclose(unitary(low), unitary(circ), atol=1e-12)
 
     def test_negative_controls_conjugated(self):
-        gate = Gate("x", (2,), ((0, False), (1, True)))
+        gate = Gate("x", 2, ((0, False), (1, True)))
         circ = circuit(3, gate)
         low = toffoli_five(circ)
         assert all(len(g.controls) <= 1 for g in low.gates)
@@ -155,7 +155,7 @@ class TestFiveGate:
 
 @pytest.mark.parametrize("decompose, gate", [
     (mcx_ladder, x(4, (0, 1, 2, 3))),
-    (toffoli_five, Gate("x", (2,), ((0, False), (1, True)))),
+    (toffoli_five, Gate("x", 2, ((0, False), (1, True)))),
 ], ids=["mcx_ladder", "toffoli_five"])
 def test_pass_repeats_one_expansion(decompose, gate):
     circ = circuit(5, gate, h(4), gate)
@@ -176,7 +176,7 @@ def uc_run(kind, target, controls, angles):
     gates = []
     for pattern, angle in enumerate(angles):
         ctl = tuple((q, bool((pattern >> j) & 1)) for j, q in enumerate(controls))
-        gates.append(Gate(kind, (target,), ctl, angle))
+        gates.append(Gate(kind, target, ctl, angle))
     return gates
 
 
@@ -248,7 +248,7 @@ def reference_graycode(circ):
 
     def rewrite(run):
         kind = run[0].kind
-        target = run[0].targets[0]
+        target = run[0].target
         controls = sorted(q for q, _ in run[0].controls)
         size = 1 << len(controls)
         thetas = [0.0] * size
@@ -265,7 +265,7 @@ def reference_graycode(circ):
                 (-1 if (b & g).bit_count() & 1 else 1) * thetas[b]
                 for b in range(size)) / size
             if alpha != 0.0:
-                out.append(Gate(kind, (target,), (), alpha))
+                out.append(Gate(kind, target, (), alpha))
             q = controls[(g ^ gray((i + 1) % size)).bit_length() - 1]
             out.append(cz(q, target) if kind == "rx" else x(target, (q,)))
         cancelled = []
@@ -279,7 +279,7 @@ def reference_graycode(circ):
     out, run = [], []
     for gate in circ.gates + (h(0),):
         if run and not (
-            gate.kind == run[0].kind and gate.targets == run[0].targets
+            gate.kind == run[0].kind and gate.target == run[0].target
             and sorted(q for q, _ in gate.controls)
             == sorted(q for q, _ in run[0].controls)
         ):
@@ -320,7 +320,7 @@ def rotation_runs(draw):
                                  max_size=min(80, 2 << k)))
         for pattern in patterns:
             ctl = tuple((q, bool(pattern >> j & 1)) for j, q in enumerate(controls))
-            gates.append(Gate(kind, (target,), ctl, draw(ANGLES)))
+            gates.append(Gate(kind, target, ctl, draw(ANGLES)))
     return Circuit(num_qubits=RUN_QUBITS, gates=tuple(gates))
 
 
@@ -400,7 +400,7 @@ def shared_control_runs(draw):
         # qubit set but new polarities often meet
         kind = draw(st.one_of(st.just("x"), st.sampled_from(RUN_KINDS)))
         angle = draw(st.floats(-math.pi, math.pi)) if kind in ROTATION_KINDS else None
-        return Gate(kind, (target,), controls, angle)
+        return Gate(kind, target, controls, angle)
 
     n = draw(st.integers(3, 6))
     gates = []
@@ -455,19 +455,19 @@ class TestLowerToUniform:
                            x(2, (0, 1))))
 
     def test_negative_controls(self):
-        self.check(circuit(3, Gate("x", (2,), ((0, False), (1, False)))))
+        self.check(circuit(3, Gate("x", 2, ((0, False), (1, False)))))
 
     def test_controlled_rotations(self):
         self.check(circuit(2, ry(0.7, 1, ((0, True),)),
                            rz(0.3, 0, ((1, True),))))
 
     def test_controlled_h_and_z(self):
-        self.check(circuit(2, Gate("h", (1,), ((0, True),)),
-                           Gate("z", (1,), ((0, True),))))
+        self.check(circuit(2, Gate("h", 1, ((0, True),)),
+                           Gate("z", 1, ((0, True),))))
 
     def test_exotic_bare_gates(self):
-        self.check(circuit(1, Gate("z", (0,)), Gate("sx", (0,)),
-                           Gate("sxdg", (0,))))
+        self.check(circuit(1, Gate("z", 0), Gate("sx", 0),
+                           Gate("sxdg", 0)))
 
     def test_multicontrolled_rotation(self):
         self.check(circuit(3, ry(0.9, 2, ((0, True), (1, True)))))
@@ -509,7 +509,7 @@ def gates(draw):
     angle = None
     if kind in ("rx", "ry", "rz"):
         angle = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
-    return Gate(kind, (target,), controls, angle)
+    return Gate(kind, target, controls, angle)
 
 
 @st.composite

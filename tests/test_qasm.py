@@ -19,7 +19,7 @@ from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.simulate import run_statevector
 
 import qasm_reference as reference
-from conftest import random_circuit, unitary
+from conftest import random_circuit
 
 
 def circuit(num_qubits, *gates):
@@ -74,7 +74,7 @@ class TestEmit:
         assert text.endswith("h q[0];\nmeasure q[2] -> c[0];\nmeasure q[0] -> c[1];\n")
 
     def test_negative_controls_conjugated(self):
-        gate = Gate("x", (1,), ((0, False),))
+        gate = Gate("x", 1, ((0, False),))
         text = emit_qasm(circuit(2, gate))
         apps = [ln for ln in text.splitlines() if ln.startswith(("x ", "cx "))]
         assert apps == ["x q[0];", "cx q[0],q[1];", "x q[0];"]
@@ -87,16 +87,16 @@ class TestEmit:
 class TestUniformGateset:
     def test_accepts_uniform_kinds(self):
         circ = Circuit(2, (x(0), x(1, (0,)), h(1), ry(0.3, 0),
-                           rz(0.1, 1), Gate("rx", (0,), (), 0.2)), measured=(0,))
+                           rz(0.1, 1), Gate("rx", 0, (), 0.2)), measured=(0,))
         text = emit_qasm(circ, gateset="uniform")
         assert "OPENQASM 2.0;" in text
 
     @pytest.mark.parametrize("gate", [
-        Gate("z", (0,)),
+        Gate("z", 0),
         cz(0, 1),
-        Gate("sx", (0,)),
-        Gate("x", (2,), ((0, True), (1, True))),
-        Gate("ry", (1,), ((0, True),), 0.5),
+        Gate("sx", 0),
+        Gate("x", 2, ((0, True), (1, True))),
+        Gate("ry", 1, ((0, True),), 0.5),
     ], ids=["z", "cz", "sx", "ccx", "cry"])
     def test_rejects_richer_gates(self, gate):
         circ = circuit(3, gate)
@@ -255,7 +255,7 @@ def one_target_circuits(draw):
                                unique=True)) if others else []
         controls = tuple((q, draw(st.booleans())) for q in chosen)
         angle = draw(st.floats(-6.0, 6.0)) if kind in ROTATION_KINDS else None
-        gates.append(Gate(kind, (target,), controls, angle))
+        gates.append(Gate(kind, target, controls, angle))
     return Circuit(n, tuple(gates))
 
 
@@ -284,7 +284,7 @@ def repeated_shapes(draw, polarity=st.booleans()):
     """Circuits of 1-4 qubits whose gates take one of 1-4 shapes (kind,
     target, 0-3 controls of ``polarity``, mixed by default), each rotation
     with an angle of its own; some gate objects recur, and measured
-    qubits (a qubit may recur) and labels come and go."""
+    qubits (each at most once) and labels come and go."""
     n = draw(st.integers(1, 4))
     shapes = []
     for _ in range(draw(st.integers(1, 4))):
@@ -294,19 +294,19 @@ def repeated_shapes(draw, polarity=st.booleans()):
         others = [q for q in range(n) if q != target]
         chosen = draw(st.lists(st.sampled_from(others), max_size=min(3, len(others)),
                                unique=True)) if others else []
-        shapes.append((kind, (target,), tuple((q, draw(polarity)) for q in chosen)))
+        shapes.append((kind, target, tuple((q, draw(polarity)) for q in chosen)))
     gates, measured = [], []
     for _ in range(draw(st.integers(0, 14))):
         pick = draw(st.integers(0, len(shapes)))
         if pick == len(shapes):
             qubits = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-            measured += draw(qubits)
+            measured += [q for q in draw(qubits) if q not in measured]
         elif gates and draw(st.integers(0, 4)) == 0:
             gates.append(gates[draw(st.integers(0, len(gates) - 1))])
         else:
-            kind, targets, controls = shapes[pick]
+            kind, target, controls = shapes[pick]
             angle = draw(angles) if kind in ROTATION_KINDS else None
-            gates.append(Gate(kind, targets, controls, angle))
+            gates.append(Gate(kind, target, controls, angle))
     labels = tuple(f"b{q}" for q in range(n)) if draw(st.booleans()) else ()
     return Circuit(n, tuple(gates), labels, tuple(measured))
 
@@ -324,7 +324,7 @@ def read_back(circ):
     """Each gate's fields, the angle as ``float.hex``, and which gates are one object."""
     first: dict[int, int] = {}
     return (circ.num_qubits, circ.labels, circ.measured,
-            [(g.kind, g.targets, g.controls, None if g.angle is None else g.angle.hex())
+            [(g.kind, g.target, g.controls, None if g.angle is None else g.angle.hex())
              for g in circ.gates],
             [first.setdefault(id(g), i) for i, g in enumerate(circ.gates)])
 

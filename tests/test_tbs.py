@@ -65,7 +65,7 @@ class TestBasic:
         assert len(circ.gates) == 1
         gate = circ.gates[0]
         assert gate.kind == "x" and gate.controls == ()
-        assert gate.targets == (1,)
+        assert gate.target == 1
 
     def test_cnot_function(self):
         # f(x1 x0) = (x1, x0 ^ x1)

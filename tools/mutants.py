@@ -89,35 +89,52 @@ MUTANTS = (
          "            ry(-_T, t), x(t, (b,)), ry(-_T, t)]",
          "return [ry(-_T, t), x(t, (b,)), ry(-_T, t), x(t, (a,)),\n"
          "            ry(_T, t), x(t, (b,)), ry(_T, t)]"),
-        ("*steps[::-1]]", "*(step(*s.controls[::-1], s.targets[0]) for s in steps[::-1])]")),
+        ("*steps[::-1]]", "*(step(*s.controls[::-1], s.target) for s in steps[::-1])]")),
         (LOWERING_PROPERTY,)),
     # QASM read and write, once per gate shape
     Mutant("parse-shape-hit-reuses-angle", "qasm.py", (
         ("gate = Gate(*shape, _angle(param, stmt))", "gate = Gate(*shape)"),
-        ("shape_of[head, tail] = gate.kind, gate.targets, gate.controls",
-         "shape_of[head, tail] = gate.kind, gate.targets, gate.controls, gate.angle")),
+        ("shape_of[head, tail] = gate.kind, gate.target, gate.controls",
+         "shape_of[head, tail] = gate.kind, gate.target, gate.controls, gate.angle")),
         (READ_WRITE_PROPERTY,)),
     Mutant("parse-shape-key-without-operands", "qasm.py", (
         ('param, _, tail = rest.partition(")")',
          'param, _, tail = *rest.partition(")")[:2], ""'),), (READ_WRITE_PROPERTY,)),
     Mutant("emit-shape-key-without-controls", "qasm.py", (
-        ("key = gate.kind, gate.targets, gate.controls", "key = gate.kind, gate.targets"),
+        ("key = gate.kind, gate.target, gate.controls", "key = gate.kind, gate.target"),
         ("shapes.setdefault(key, shape(*key))",
          "shapes.setdefault(key, shape(*key, gate.controls))")), (READ_WRITE_PROPERTY,)),
     # the X frame of lower_negative_controls, Gate.qubits and the Circuit check
     Mutant("frame-kept-under-other-targets", "circuit.py", (
-        ('\n                 + [(q, False) for q in gate.targets if gate.kind != "x"])', ")"),),
+        ('if frame[gate.target] and gate.kind != "x":',
+         'if frame[gate.target] and gate.kind == "x":'),),
         (FRAME_PROPERTY,)),
+    Mutant("frame-skips-target-flush", "circuit.py", (
+        ('        if frame[gate.target] and gate.kind != "x":\n'
+         "            frame[gate.target] = False\n"
+         "            out.append(flips[gate.target])\n", ""),),
+        (FRAME_PROPERTY,
+         "tests/test_circuit.py::test_lower_negative_controls_flushes_before_other_targets")),
     Mutant("frame-comparison-inverted", "circuit.py", (
-        ("if frame[q] != bit:", "if frame[q] == bit:"),), (FRAME_PROPERTY,)),
+        ("if frame[q] == pos:", "if frame[q] != pos:"),), (FRAME_PROPERTY,)),
     Mutant("positive-copy-keeps-controls", "circuit.py", (
-        ("gate.kind, gate.targets, positive, gate.angle)",
-         "gate.kind, gate.targets, gate.controls, gate.angle)"),), (FRAME_PROPERTY,)),
-    Mutant("uncontrolled-qubits-empty", "circuit.py", (
-        ("if not self.controls:\n            return self.targets",
-         "if not self.controls:\n            return ()"),), (METRICS_PROPERTY,)),
+        ("gate.kind, gate.target, tuple([(q, True) for q, _ in gate.controls]), gate.angle)",
+         "gate.kind, gate.target, gate.controls, gate.angle)"),), (FRAME_PROPERTY,)),
+    Mutant("qubits-without-target", "circuit.py", (
+        ("return (*[q for q, _ in self.controls], self.target)",
+         "return tuple([q for q, _ in self.controls])"),), (METRICS_PROPERTY,)),
     Mutant("fast-range-check-reads-qubit-0", "circuit.py", (
-        ("lo = hi = g.targets[0]", "lo = hi = 0"),), (CHECK_PROPERTY,)),
+        ("lo = hi = g.target", "lo = hi = 0"),), (CHECK_PROPERTY,)),
+    Mutant("circuit-accepts-non-int-target", "circuit.py", (
+        ("type(g.target) is int and isinstance(g.controls, tuple)",
+         "isinstance(g.controls, tuple)"),),
+        (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_targets_fail_loudly")),
+    Mutant("circuit-accepts-repeated-measured", "circuit.py", (
+        ("        if twice := [q for q in self.measured if self.measured.count(q) > 1]:\n"
+         '            raise ValueError(f"measured qubit {twice[0]} is listed more than once")\n',
+         ""),),
+        ("tests/test_circuit.py::test_measured_qubits_in_order",
+         "tests/test_simulate.py::TestRepeatedMeasurement::test_sample_circuit_measuring_twice")),
     # memory images read their addresses in ascending order
     Mutant("basis-addresses-unsorted", "encoding.py", (
         ("for a, x in sorted(table.entries.items()))", "for a, x in table.entries.items())"),),

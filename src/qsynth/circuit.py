@@ -8,10 +8,11 @@ emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
 one), a gate count is ``len(circuit)``, a control count is
 ``len(gate.controls)``, and each other size is a field of ``metrics``.
-Every gate has one int ``target``.  Rotation kinds carry an angle in
-radians; no other kind does.  A ``Gate`` is a plain record: the ``Circuit``
-it joins checks it, once per distinct gate object.  A measurement is not
-a gate: a circuit's ``measured`` qubits, each once, follow its last gate.
+Every gate has one int ``target``, and each control qubit is an int too.
+Rotation kinds carry an angle in radians; no other kind does.  A
+``Gate`` is a plain record: the ``Circuit`` it joins checks it, once per
+distinct gate object.  A measurement is not a gate: a circuit's
+``measured`` qubits, each once, follow its last gate.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ def h(target: int) -> Gate:
     return Gate("h", target)
 
 
-def z(target: int, controls=()) -> Gate:
-    return Gate("z", target, _coerce_controls(controls))
-
-
 def cz(control: int, target: int) -> Gate:
     return Gate("z", target, ((control, True),))
 
@@ -76,14 +73,6 @@ def ry(angle: float, target: int, controls=()) -> Gate:
 
 def rz(angle: float, target: int, controls=()) -> Gate:
     return Gate("rz", target, _coerce_controls(controls), float(angle))
-
-
-def sx(target: int, controls=()) -> Gate:
-    return Gate("sx", target, _coerce_controls(controls))
-
-
-def sxdg(target: int, controls=()) -> Gate:
-    return Gate("sxdg", target, _coerce_controls(controls))
 
 
 def _distinct(gates) -> Iterable[Gate]:
@@ -141,15 +130,13 @@ class Circuit:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
             if (g.angle is None) == (g.kind in ROTATION_KINDS):
                 raise ValueError(f"{g}: rotations, and only rotations, take an angle")
-            if not g.controls:  # most gates: no qubit set to build
-                lo = hi = g.target
-            else:
-                qs = {g.target, *[q for q, _ in g.controls]}  # g.qubits, without a tuple
-                if len(qs) != len(g.controls) + 1:
-                    raise ValueError(f"{g} uses a qubit twice")
-                lo, hi = min(qs), max(qs)
-            if not 0 <= lo <= hi < n:
+            if not 0 <= g.target < n:
                 raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
+            if g.controls:  # int control qubits in range, apart from each other and the target
+                cs = [q for q, _ in g.controls if type(q) is int and 0 <= q < n]
+                if len({g.target, *cs}) != len(g.controls) + 1:
+                    raise ValueError(f"{g} uses a qubit twice" if len(cs) == len(g.controls)
+                                     else f"{g}: each control qubit must be an int in 0..{n - 1}")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
         if not all(0 <= q < n for q in self.measured):

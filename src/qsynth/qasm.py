@@ -4,9 +4,9 @@ Emitted files are self-contained: every gate name used is defined in the
 file from the builtin U and CX primitives, so no include is needed.
 A gate's name is its IR kind with its control count: the bare kind,
 then c<kind> (cx, cz, crz, ...), ccx, and mc<kind>_<k> per arity (mcx_3,
-mcrz_4, ...) with small recursive bodies; the controlled bodies are
-exact, bare one-qubit shorthands may differ from their IR matrices by a
-global phase only.
+mcrz_4, ...) with small recursive bodies.  Expanded from U and CX as the
+specification defines them, each body equals its IR gate up to one
+global phase, which is nonzero for most controlled bodies.
 
 The parser reads files shaped like the emitter's output: definitions are
 skipped by name (never expanded) and applications map straight back to
@@ -33,44 +33,28 @@ UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h"})
 # gate definitions
 # ---------------------------------------------------------------------------
 
-_BASE_DEFS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "u1": ("gate u1(lambda) a { U(0,0,lambda) a; }", ()),
-    "x": ("gate x a { U(pi,0,pi) a; }", ()),
-    "cx": ("gate cx a,b { CX a,b; }", ()),
-    "z": ("gate z a { u1(pi) a; }", ("u1",)),
-    "h": ("gate h a { U(pi/2,0,pi) a; }", ()),
-    "sx": ("gate sx a { U(pi/2,-pi/2,pi/2) a; }", ()),
-    "sxdg": ("gate sxdg a { U(-pi/2,-pi/2,pi/2) a; }", ()),
-    "rx": ("gate rx(theta) a { U(theta,-pi/2,pi/2) a; }", ()),
-    "ry": ("gate ry(theta) a { U(theta,0,0) a; }", ()),
-    "rz": ("gate rz(theta) a { u1(theta) a; }", ("u1",)),
-    "cz": ("gate cz a,b { h b; cx a,b; h b; }", ("h", "cx")),
-    "cu1": (
-        "gate cu1(lambda) a,b { u1(lambda/2) a; cx a,b; u1(-lambda/2) b; "
-        "cx a,b; u1(lambda/2) b; }",
-        ("u1", "cx"),
-    ),
-    "crz": (
-        "gate crz(theta) a,b { u1(theta/2) b; cx a,b; u1(-theta/2) b; cx a,b; }",
-        ("u1", "cx"),
-    ),
-    "cry": (
-        "gate cry(theta) a,b { ry(theta/2) b; cx a,b; ry(-theta/2) b; cx a,b; }",
-        ("ry", "cx"),
-    ),
-    "crx": ("gate crx(theta) a,b { h b; crz(theta) a,b; h b; }", ("h", "crz")),
-    "csx": ("gate csx a,b { u1(pi/4) a; crx(pi/2) a,b; }", ("u1", "crx")),
-    "csxdg": ("gate csxdg a,b { u1(-pi/4) a; crx(-pi/2) a,b; }", ("u1", "crx")),
-    "ccx": (
-        "gate ccx a,b,c { h c; cx b,c; u1(-pi/4) c; cx a,c; u1(pi/4) c; "
-        "cx b,c; u1(-pi/4) c; cx a,c; u1(pi/4) b; u1(pi/4) c; h c; cx a,b; "
-        "u1(pi/4) a; u1(-pi/4) b; cx a,b; }",
-        ("h", "cx", "u1"),
-    ),
-    "ch": (
-        "gate ch a,b { ry(-pi/4) b; cz a,b; ry(pi/4) b; }",
-        ("ry", "cz"),
-    ),
+_BASE_DEFS: dict[str, str] = {
+    "u1": "gate u1(lambda) a { U(0,0,lambda) a; }",
+    "x": "gate x a { U(pi,0,pi) a; }",
+    "cx": "gate cx a,b { CX a,b; }",
+    "z": "gate z a { u1(pi) a; }",
+    "h": "gate h a { U(pi/2,0,pi) a; }",
+    "sx": "gate sx a { U(pi/2,-pi/2,pi/2) a; }",
+    "sxdg": "gate sxdg a { U(-pi/2,-pi/2,pi/2) a; }",
+    "rx": "gate rx(theta) a { U(theta,-pi/2,pi/2) a; }",
+    "ry": "gate ry(theta) a { U(theta,0,0) a; }",
+    "rz": "gate rz(theta) a { u1(theta) a; }",
+    "cz": "gate cz a,b { h b; cx a,b; h b; }",
+    "cu1": "gate cu1(lambda) a,b { u1(lambda/2) a; cx a,b; u1(-lambda/2) b; "
+           "cx a,b; u1(lambda/2) b; }",
+    "crz": "gate crz(theta) a,b { u1(theta/2) b; cx a,b; u1(-theta/2) b; cx a,b; }",
+    "cry": "gate cry(theta) a,b { ry(theta/2) b; cx a,b; ry(-theta/2) b; cx a,b; }",
+    "crx": "gate crx(theta) a,b { h b; crz(theta) a,b; h b; }",
+    "csx": "gate csx a,b { u1(pi/4) a; crx(pi/2) a,b; }",
+    "csxdg": "gate csxdg a,b { u1(-pi/4) a; crx(-pi/2) a,b; }",
+    "ccx": "gate ccx a,b,c { h c; cx b,c; u1(-pi/4) c; cx a,c; u1(pi/4) c; cx b,c; u1(-pi/4) c; "
+           "cx a,c; u1(pi/4) b; u1(pi/4) c; h c; cx a,b; u1(pi/4) a; u1(-pi/4) b; cx a,b; }",
+    "ch": "gate ch a,b { ry(-pi/4) b; cz a,b; ry(pi/4) b; }",
 }
 
 _MC_RE = re.compile(r"mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)")  # every family with mc names
@@ -97,8 +81,8 @@ _MC_FRAMES = {
 }
 
 
-def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
-    """Definition text and dependencies for an arity-k family member."""
+def _mc_def(family: str, k: int) -> str:
+    """Definition text of an arity-k family member."""
     cs = [f"c{i}" for i in range(1, k + 1)]
     args = ",".join(cs + ["t"])
     name = _mc_name(family, k)
@@ -111,13 +95,13 @@ def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
             f"{base}(-{p}/2) {cs[-1]},t; {sub_x} {','.join(cs)}; "
             f"{tail}({p}/2) {','.join(cs[:-1])},t;"
         )
-        return f"gate {name}({p}) {args} {{ {body} }}", (base, sub_x, tail)
+        return f"gate {name}({p}) {args} {{ {body} }}"
     if family in _MC_FRAMES:
         before, inner, arg, after = _MC_FRAMES[family]
         inner = _mc_name(inner, k)
         param = arg if arg == "(theta)" else ""
         body = f"{before} t; {inner}{arg} {args}; {after} t;"
-        return f"gate {name}{param} {args} {{ {body} }}", (before.split("(")[0], inner)
+        return f"gate {name}{param} {args} {{ {body} }}"
     if family in ("sx", "sxdg"):
         sign = "" if family == "sx" else "-"
         phase = _mc_name("u1", k - 1)
@@ -126,11 +110,11 @@ def _mc_def(family: str, k: int) -> tuple[str, tuple[str, ...]]:
             f"{phase}({sign}pi/4) {','.join(cs)}; "
             f"{rot}({sign}pi/2) {args};"
         )
-        return f"gate {name} {args} {{ {body} }}", (phase, rot)
+        return f"gate {name} {args} {{ {body} }}"
     raise ValueError(f"no multi-controlled form for {family!r}")
 
 
-def _definition(name: str) -> tuple[str, tuple[str, ...]]:
+def _definition(name: str) -> str:
     if name in _BASE_DEFS:
         return _BASE_DEFS[name]
     m = _MC_RE.fullmatch(name)
@@ -139,8 +123,11 @@ def _definition(name: str) -> tuple[str, tuple[str, ...]]:
     return _mc_def(m.group(1), int(m.group(2)))
 
 
+_CALL_RE = re.compile(r"[{;] ([a-z]\w*)")  # a gate a body calls; the builtins U, CX are upper case
+
+
 def _collect_definitions(names) -> list[str]:
-    """Definition lines for ``names`` plus dependencies, dependency-first."""
+    """Definition lines for ``names`` and every gate their bodies call, callees first."""
     emitted: list[str] = []
     done: set[str] = set()
 
@@ -148,8 +135,7 @@ def _collect_definitions(names) -> list[str]:
         if name in done:
             return
         done.add(name)
-        text, deps = _definition(name)
-        for dep in deps:
+        for dep in _CALL_RE.findall(text := _definition(name)):
             visit(dep)
         emitted.append(text)
 

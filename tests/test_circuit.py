@@ -249,6 +249,8 @@ def reference_gate_check(g: Gate, n: int) -> None:
     if type(g.target) is not int:
         raise ValueError("the target must be an int")
     control_qubits = [q for q, _ in g.controls]
+    if any(type(q) is not int for q in control_qubits):
+        raise ValueError("each control qubit must be an int")
     if len(set(control_qubits)) != len(control_qubits):
         raise ValueError("repeated control qubit")
     if g.target in control_qubits:
@@ -269,14 +271,16 @@ def any_gates(draw):
     qubits in -1..n, and an angle or none, valid or not.
 
     Most targets are an int; the rest are a 1-tuple (the old tuple form),
-    None or a bool.  Half keep every qubit inside 0..n-1 and half repeat none,
-    so each rule meets gates that break only it.
+    None or a bool.  Most control qubits are an int; the rest are a bool or
+    a float.  Half keep every qubit inside 0..n-1 and half repeat none, so
+    each rule meets gates that break only it.
     """
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1) if draw(st.booleans()) else st.integers(-1, n)
     qubits = draw(st.lists(qubit, min_size=1, max_size=4, unique=draw(st.booleans())))
     target = draw(st.sampled_from((qubits[0],) * 3 + ((qubits[0],), None, True)))
-    controls = tuple((q, draw(st.booleans())) for q in qubits[1:])
+    controls = tuple((draw(st.sampled_from((q,) * 5 + (bool(q), float(q)))), draw(st.booleans()))
+                     for q in qubits[1:])
     kind = draw(st.sampled_from(sorted(GATE_KINDS) + ["warp"]))
     angle = draw(st.none() | st.floats(-6.0, 6.0))
     return Gate(kind, target, controls, angle), n
@@ -322,6 +326,13 @@ def test_non_int_targets_fail_loudly(target):
     # target is test_list_fields_rejected[targets]
     with pytest.raises(ValueError, match="the target must be an int"):
         Circuit(1, (Gate("x", target),))
+
+
+@pytest.mark.parametrize("control", [True, 1.0], ids=["bool", "float"])
+def test_non_int_controls_fail_loudly(control):
+    # a bool control would be written as q[True], which parse_qasm rejects
+    with pytest.raises(ValueError, match="each control qubit must be an int"):
+        Circuit(2, (Gate("x", 0, ((control, True),)),))
 
 
 @pytest.mark.parametrize("gate, qubits", [

@@ -19,7 +19,7 @@ from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.simulate import run_statevector
 
 import qasm_reference as reference
-from conftest import random_circuit
+from conftest import random_circuit, same_up_to_phase, unitary
 
 
 def circuit(num_qubits, *gates):
@@ -268,11 +268,85 @@ def test_parse_gives_back_the_emitted_gates(circ):
     assert parse_qasm(emit_qasm(uniform, "uniform")).gates == uniform.gates
 
 
+def _rz(a):
+    return np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
+
+
+def _spec_u(theta, phi, lam):
+    """The OpenQASM 2.0 builtin U (Cross et al., arXiv:1707.03429)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return _rz(phi) @ np.array([[c, -s], [s, c]]) @ _rz(lam)
+
+
+_SPEC_CX = np.eye(4)[[0, 1, 3, 2]]
+_GATE_LINE = re.compile(r"gate (\w+)(?:\((\w+)\))? ([\w,]+) \{ (.*;) \}")
+_STATEMENT = re.compile(r"(\w+)(?:\(([^)]*)\))? ([\w\[\],]+)")
+
+
+def _value(expr, scope):
+    """A body parameter, ``[-]atom[/divisor]``: a number, pi or the gate's parameter."""
+    sign, atom, divisor = re.fullmatch(r"(-?)(\w+)(?:/(\d+))?", expr).groups()
+    value = scope[atom] if atom in scope else float(atom)
+    return (-value if sign else value) / int(divisor or 1)
+
+
+def _apply(state, matrix, axes):
+    """``matrix`` on the qubit ``axes`` of ``state``, every column at once."""
+    k = len(axes)
+    moved = np.tensordot(matrix.reshape((2,) * 2 * k), state, (range(k, 2 * k), axes))
+    return np.moveaxis(moved, range(k), axes)
+
+
+def expand_from_builtins(text):
+    """The unitary of an emitted file, reading every gate body down to U
+    and CX.  A body may call only U, CX or a gate defined on an earlier
+    line.  The emitter's own reader and call regex are not used."""
+    defs = {}  # name -> (parameter or None, argument names, body statements)
+    apps = []
+    for line in text.splitlines():
+        if m := _GATE_LINE.fullmatch(line):
+            name, param, args, body = m.groups()
+            stmts = [_STATEMENT.fullmatch(s.strip()).groups() for s in body.split(";")[:-1]]
+            for called, _, _ in stmts:
+                assert called in ("U", "CX") or called in defs, f"{name} calls {called} undefined"
+            defs[name] = param, args.split(","), stmts
+        elif m := re.fullmatch(r"qreg q\[(\d+)\];", line):
+            n = int(m.group(1))
+        elif not line.startswith("OPENQASM"):
+            apps.append(_STATEMENT.fullmatch(line.rstrip(";")).groups())
+    state = np.eye(1 << n, dtype=complex).reshape((2,) * n + (1 << n,))
+
+    def call(name, values, qubits):
+        nonlocal state
+        if name in ("U", "CX"):
+            state = _apply(state, _spec_u(*values) if name == "U" else _SPEC_CX, qubits)
+            return
+        param, args, stmts = defs[name]
+        scope = {"pi": math.pi, **({param: values[0]} if param else {})}
+        where = dict(zip(args, qubits, strict=True))
+        for called, exprs, operands in stmts:
+            call(called, [_value(e, scope) for e in exprs.split(",")] if exprs else [],
+                 [where[a] for a in operands.split(",")])
+
+    for name, param, operands in apps:
+        call(name, [float(param)] if param else [], [int(q) for q in re.findall(r"\d+", operands)])
+    return state.reshape(1 << n, 1 << n)
+
+
 class TestDefinitionSemantics:
     def test_controlled_h_body_order(self):
         # H = RY(pi/4) Z RY(-pi/4), so the negative rotation is applied first
         from qsynth.qasm import _BASE_DEFS
-        assert "ry(-pi/4) b; cz a,b; ry(pi/4) b;" in _BASE_DEFS["ch"][0]
+        assert "ry(-pi/4) b; cz a,b; ry(pi/4) b;" in _BASE_DEFS["ch"]
+
+    @pytest.mark.parametrize("kind, k", [(kind, k) for kind in sorted(GATE_KINDS) for k in range(5)])
+    def test_each_body_means_its_gate(self, kind, k):
+        # every name the emitter writes for up to four controls: the file read
+        # from U and CX is the IR gate's matrix up to one global phase
+        gate = Gate(kind, 0, tuple((q, True) for q in range(1, k + 1)),
+                    0.7 if kind in ROTATION_KINDS else None)
+        circ = Circuit(k + 1, (gate,))
+        assert same_up_to_phase(expand_from_builtins(emit_qasm(circ)), unitary(circ))
 
 
 ODD_ANGLES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.pi)

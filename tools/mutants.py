@@ -51,6 +51,7 @@ FRAME_PROPERTY = "tests/test_circuit.py::test_lower_negative_controls_frame_matc
 CHECK_PROPERTY = "tests/test_circuit.py::test_circuit_checks_match_reference"
 ADDRESS_ORDER = "tests/test_encoding.py::TestMemoryImage::test_addresses_read_in_ascending_order"
 ROUND_TRIP_PROPERTY = "tests/test_qasm.py::test_emit_parse_gives_back_the_circuit"
+BODY_MEANING = "tests/test_qasm.py::TestDefinitionSemantics::test_each_body_means_its_gate"
 
 MUTANTS = (
     # the bit-sliced ESOP reference of `qsynth verify`
@@ -123,18 +124,27 @@ MUTANTS = (
     Mutant("qubits-without-target", "circuit.py", (
         ("return (*[q for q, _ in self.controls], self.target)",
          "return tuple([q for q, _ in self.controls])"),), (METRICS_PROPERTY,)),
-    Mutant("fast-range-check-reads-qubit-0", "circuit.py", (
-        ("lo = hi = g.target", "lo = hi = 0"),), (CHECK_PROPERTY,)),
+    Mutant("target-range-check-reads-qubit-0", "circuit.py", (
+        ("if not 0 <= g.target < n:", "if not 0 <= 0 < n:"),), (CHECK_PROPERTY,)),
     Mutant("circuit-accepts-non-int-target", "circuit.py", (
         ("type(g.target) is int and isinstance(g.controls, tuple)",
          "isinstance(g.controls, tuple)"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_targets_fail_loudly")),
+    Mutant("circuit-accepts-bool-control", "circuit.py", (
+        ("if type(q) is int and 0 <= q < n]", "if 0 <= q < n]"),),
+        (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_controls_fail_loudly")),
     Mutant("circuit-accepts-repeated-measured", "circuit.py", (
         ("        if twice := [q for q in self.measured if self.measured.count(q) > 1]:\n"
          '            raise ValueError(f"measured qubit {twice[0]} is listed more than once")\n',
          ""),),
         ("tests/test_circuit.py::test_measured_qubits_in_order",
          "tests/test_simulate.py::TestRepeatedMeasurement::test_sample_circuit_measuring_twice")),
+    # the gate definitions: each body means its gate, and defines what it calls
+    Mutant("mc-body-second-half-sign", "qasm.py", (
+        ('f"{base}(-{p}/2) {cs[-1]},t;', 'f"{base}({p}/2) {cs[-1]},t;'),), (BODY_MEANING,)),
+    Mutant("definition-skips-first-call", "qasm.py", (
+        ('_CALL_RE = re.compile(r"[{;] ([a-z]\\w*)")', '_CALL_RE = re.compile(r"[;] ([a-z]\\w*)")'),),
+        (BODY_MEANING,)),
     # memory images read their addresses in ascending order
     Mutant("basis-addresses-unsorted", "encoding.py", (
         ("for a, x in sorted(table.entries.items()))", "for a, x in table.entries.items())"),),

@@ -7,130 +7,94 @@ seven methods (ESOP, two transformation-based variants, three memory
 encodings, amplitude encoding), optionally optimizes them, and emits
 self-contained OpenQASM 2.0 alongside built-in simulation and
 distribution statistics.
+
+Every name in ``__all__`` can be imported from the package, and so can
+each module that defines one.  The package loads a name's module on
+first use (PEP 562), so ``import qsynth`` alone loads no submodule and
+no numpy.
 """
 
-from .circuit import (
-    Circuit,
-    Gate,
-    Metrics,
-    lower_negative_controls,
-    metrics,
-)
-from .encoding import (
-    AngleTree,
-    angle_tree,
-    qrng_pipeline,
-    qrom_pipeline,
-    read_pmf,
-    synth_amplitude,
-    synth_angle,
-    synth_basis,
-)
-from .errors import QsynthError
-from .esop import EsopSpec, evaluate_esop_table, synth_esop, to_esop
-from .funcprep import (
-    Pmf,
-    RttResult,
-    TruthTable,
-    assign_dont_cares,
-    expand,
-    make_one_to_one,
-    make_onto,
-    normalize,
-    normalize_pmf,
-    prepare_bijection,
-    to_truth_table,
-)
-from .grover import (
-    GroverSpec,
-    build_grover,
-    card_predicate,
-    iteration_sweep,
-    success_probability,
-)
-from .optimize import (
-    PASSES,
-    apply_passes,
-    graycode_optimize,
-    lower_to_uniform,
-    mcx_ladder,
-    remove_double_x,
-    symmetric_optimize,
-    toffoli_five,
-)
-from .pla import PlaTable, parse_pla, write_pla
-from .qasm import emit_qasm, parse_qasm
-from .simulate import (
-    CountHistogram,
-    Statevector,
-    calibrate_shots_report,
-    run_reversible_table,
-    run_statevector,
-    sample,
-)
-from .stats import g_statistic, js_divergence, kl_divergence
-from .tbs import rm_spectrum, synth_tbs_basic, synth_tbs_rm
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleTree",
-    "Circuit",
-    "CountHistogram",
-    "EsopSpec",
-    "Gate",
-    "GroverSpec",
-    "Metrics",
-    "PASSES",
-    "PlaTable",
-    "Pmf",
-    "QsynthError",
-    "RttResult",
-    "Statevector",
-    "TruthTable",
-    "angle_tree",
-    "apply_passes",
-    "assign_dont_cares",
-    "build_grover",
-    "calibrate_shots_report",
-    "card_predicate",
-    "emit_qasm",
-    "evaluate_esop_table",
-    "expand",
-    "g_statistic",
-    "graycode_optimize",
-    "iteration_sweep",
-    "js_divergence",
-    "kl_divergence",
-    "lower_negative_controls",
-    "lower_to_uniform",
-    "make_one_to_one",
-    "make_onto",
-    "mcx_ladder",
-    "metrics",
-    "normalize",
-    "normalize_pmf",
-    "parse_pla",
-    "parse_qasm",
-    "prepare_bijection",
-    "qrng_pipeline",
-    "qrom_pipeline",
-    "read_pmf",
-    "remove_double_x",
-    "rm_spectrum",
-    "run_reversible_table",
-    "run_statevector",
-    "sample",
-    "success_probability",
-    "symmetric_optimize",
-    "synth_amplitude",
-    "synth_angle",
-    "synth_basis",
-    "synth_esop",
-    "synth_tbs_basic",
-    "synth_tbs_rm",
-    "to_esop",
-    "to_truth_table",
-    "toffoli_five",
-    "write_pla",
-]
+# each module and the public names it defines
+_EXPORTS = {
+    "circuit": (
+        "Circuit",
+        "Gate",
+        "Metrics",
+        "lower_negative_controls",
+        "metrics",
+    ),
+    "encoding": (
+        "AngleTree",
+        "angle_tree",
+        "qrng_pipeline",
+        "qrom_pipeline",
+        "read_pmf",
+        "synth_amplitude",
+        "synth_angle",
+        "synth_basis",
+    ),
+    "errors": ("QsynthError",),
+    "esop": ("EsopSpec", "evaluate_esop_table", "synth_esop", "to_esop"),
+    "funcprep": (
+        "Pmf",
+        "RttResult",
+        "TruthTable",
+        "assign_dont_cares",
+        "expand",
+        "make_one_to_one",
+        "make_onto",
+        "normalize",
+        "normalize_pmf",
+        "prepare_bijection",
+        "to_truth_table",
+    ),
+    "grover": (
+        "GroverSpec",
+        "build_grover",
+        "card_predicate",
+        "iteration_sweep",
+        "success_probability",
+    ),
+    "optimize": (
+        "PASSES",
+        "apply_passes",
+        "graycode_optimize",
+        "lower_to_uniform",
+        "mcx_ladder",
+        "remove_double_x",
+        "symmetric_optimize",
+        "toffoli_five",
+    ),
+    "pla": ("PlaTable", "parse_pla", "write_pla"),
+    "qasm": ("emit_qasm", "parse_qasm"),
+    "simulate": (
+        "Statevector",
+        "calibrate_shots_report",
+        "run_reversible_table",
+        "run_statevector",
+        "sample",
+    ),
+    "stats": ("CountHistogram", "g_statistic", "js_divergence", "kl_divergence"),
+    "tbs": ("rm_spectrum", "synth_tbs_basic", "synth_tbs_rm"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import ``name``'s module, or the submodule ``name``, on first use."""
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -8,11 +8,13 @@ emits an X only where a qubit's polarity changes.  Each operation has
 one form: a controlled Z is a ``z`` gate with a control (``cz`` builds
 one), a gate count is ``len(circuit)``, a control count is
 ``len(gate.controls)``, and each other size is a field of ``metrics``.
-Every gate has one int ``target``, and each control qubit is an int too.
-Rotation kinds carry an angle in radians; no other kind does.  A
-``Gate`` is a plain record: the ``Circuit`` it joins checks it, once per
-distinct gate object.  A measurement is not a gate: a circuit's
-``measured`` qubits, each once, follow its last gate.
+Every gate has one int ``target``; each control's qubit is an int and
+its polarity a bool, and the helpers convert neither (they read a bare
+qubit q as (q, True)).  Rotation kinds carry a finite float angle in
+radians; no other kind does.  A ``Gate`` is a plain record: the
+``Circuit`` it joins checks it, once per distinct gate object.  A
+measurement is not a gate: a circuit's ``measured`` qubits, each once,
+follow its last gate.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
+from math import isfinite
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
 GATE_KINDS = frozenset({"x", "h", "z", "rx", "ry", "rz", "sx", "sxdg"})
@@ -41,14 +44,8 @@ class Gate:
 
 
 def _coerce_controls(controls) -> tuple[tuple[int, bool], ...]:
-    out = []
-    for c in controls:
-        if isinstance(c, tuple):
-            q, positive = c
-            out.append((int(q), bool(positive)))
-        else:
-            out.append((int(c), True))
-    return tuple(out)
+    """Each bare control qubit as a positive ``(q, True)`` pair."""
+    return tuple([c if isinstance(c, tuple) else (c, True) for c in controls])
 
 
 def x(target: int, controls=()) -> Gate:
@@ -64,15 +61,15 @@ def cz(control: int, target: int) -> Gate:
 
 
 def rx(angle: float, target: int, controls=()) -> Gate:
-    return Gate("rx", target, _coerce_controls(controls), float(angle))
+    return Gate("rx", target, _coerce_controls(controls), angle)
 
 
 def ry(angle: float, target: int, controls=()) -> Gate:
-    return Gate("ry", target, _coerce_controls(controls), float(angle))
+    return Gate("ry", target, _coerce_controls(controls), angle)
 
 
 def rz(angle: float, target: int, controls=()) -> Gate:
-    return Gate("rz", target, _coerce_controls(controls), float(angle))
+    return Gate("rz", target, _coerce_controls(controls), angle)
 
 
 def _distinct(gates) -> Iterable[Gate]:
@@ -128,14 +125,23 @@ class Circuit:
                 raise ValueError(f"{g}: the target must be an int and the controls a tuple")
             if g.kind not in GATE_KINDS:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
-            if (g.angle is None) == (g.kind in ROTATION_KINDS):
-                raise ValueError(f"{g}: rotations, and only rotations, take an angle")
+            if g.kind in ROTATION_KINDS:
+                if not (type(g.angle) is float and isfinite(g.angle)):
+                    raise ValueError(f"{g}: a rotation angle must be a finite float")
+            elif g.angle is not None:
+                raise ValueError(f"{g}: only rotations take an angle")
             if not 0 <= g.target < n:
                 raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
-            if g.controls:  # int control qubits in range, apart from each other and the target
-                cs = [q for q, _ in g.controls if type(q) is int and 0 <= q < n]
+            if g.controls:  # (int, bool) pairs; in range, apart from each other and the target
+                try:
+                    cs = [q for q, pos in g.controls
+                          if type(pos) is bool and type(q) is int and 0 <= q < n]
+                except (TypeError, ValueError):  # a control that does not unpack into two
+                    raise ValueError(f"{g}: a control must be a (qubit, polarity) pair") from None
                 if len({g.target, *cs}) != len(g.controls) + 1:
-                    raise ValueError(f"{g} uses a qubit twice" if len(cs) == len(g.controls)
+                    raise ValueError(f"{g}: each control polarity must be a bool"
+                                     if any(type(pos) is not bool for _, pos in g.controls)
+                                     else f"{g} uses a qubit twice" if len(cs) == len(g.controls)
                                      else f"{g}: each control qubit must be an int in 0..{n - 1}")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")

@@ -17,16 +17,16 @@ stable across platforms for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
 from .errors import NonClassicalGate, NonConvergent, SizeLimitExceeded, TooManyQubits
 from .funcprep import Pmf, row_cap
+from .stats import CountHistogram, _chi2_sf, kl_divergence
 
 MAX_STATEVECTOR_QUBITS = 20
 CALIBRATION_CAP = 1 << 26
@@ -310,35 +310,6 @@ def _apply_gate(state: np.ndarray, g, flipped: list[bool]) -> None:
         _update(state, index, target, *mat.ravel())
 
 
-@dataclass
-class CountHistogram:
-    """Counts per measured bitstring."""
-
-    counts: dict[str, int]
-    shots: int
-    num_bits: int
-    seed: int | None = field(default=None, compare=False)
-
-    def probability(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
-
-    def empirical(self) -> np.ndarray:
-        """Empirical distribution over all 2**num_bits bins."""
-        probs = np.zeros(1 << self.num_bits)
-        for bits, count in self.counts.items():
-            probs[int(bits, 2)] = count / self.shots
-        return probs
-
-    def to_json(self) -> str:
-        payload = {"shots": self.shots, "num_bits": self.num_bits, "counts": self.counts}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["bitstring,count"]
-        lines.extend(f"{bits},{self.counts[bits]}" for bits in sorted(self.counts))
-        return "\n".join(lines) + "\n"
-
-
 def _distribution_of(obj) -> tuple[np.ndarray, int]:
     if isinstance(obj, Circuit):
         sv = run_statevector(obj)
@@ -405,8 +376,6 @@ def calibrate_shots_report(pmf: Pmf, circuit: Circuit | None = None, threshold: 
     upper-tail chi-square probability (one degree of freedom) of the
     per-shot G measured at the recommended count.
     """
-    from .stats import _chi2_sf, kl_divergence
-
     probs, _ = _distribution_of(circuit if circuit is not None else pmf)
     target = np.asarray(pmf.probs)
 

@@ -1,4 +1,5 @@
-"""Distribution distance measures used by verification reports.
+"""Distribution distance measures used by verification reports, and the
+``CountHistogram`` that sampling returns.
 
 All logarithms are natural.  Divergences accept any two equal-length
 sequences of probabilities; histogram-vs-model testing goes through
@@ -8,12 +9,12 @@ the supports line up.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .simulate import CountHistogram
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -60,6 +61,35 @@ def _chi2_sf(x: float, df: int) -> float:
             if abs(step - 1.0) < _EPS:
                 return h * scale
     raise ArithmeticError(f"chi-square tail did not converge (x={x}, df={df})")
+
+
+@dataclass
+class CountHistogram:
+    """Counts per measured bitstring."""
+
+    counts: dict[str, int]
+    shots: int
+    num_bits: int
+    seed: int | None = field(default=None, compare=False)
+
+    def probability(self, bitstring: str) -> float:
+        return self.counts.get(bitstring, 0) / self.shots
+
+    def empirical(self) -> np.ndarray:
+        """Empirical distribution over all 2**num_bits bins."""
+        probs = np.zeros(1 << self.num_bits)
+        for bits, count in self.counts.items():
+            probs[int(bits, 2)] = count / self.shots
+        return probs
+
+    def to_json(self) -> str:
+        payload = {"shots": self.shots, "num_bits": self.num_bits, "counts": self.counts}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_csv(self) -> str:
+        lines = ["bitstring,count"]
+        lines.extend(f"{bits},{self.counts[bits]}" for bits in sorted(self.counts))
+        return "\n".join(lines) + "\n"
 
 
 def _as_dist(p) -> np.ndarray:

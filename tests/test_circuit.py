@@ -1,5 +1,6 @@
 """Gate and circuit containers, metrics, negative-control lowering."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from qsynth.circuit import (
     lower_negative_controls,
     metrics,
     rx,
+    ry,
     x,
 )
 from qsynth.qasm import parse_qasm
@@ -248,6 +250,10 @@ def reference_gate_check(g: Gate, n: int) -> None:
         raise ValueError(f"unknown gate kind {g.kind!r}")
     if type(g.target) is not int:
         raise ValueError("the target must be an int")
+    if not all(isinstance(c, tuple) and len(c) == 2 for c in g.controls):
+        raise ValueError("each control must be a (qubit, polarity) pair")
+    if any(type(positive) is not bool for _, positive in g.controls):
+        raise ValueError("each polarity must be a bool")
     control_qubits = [q for q, _ in g.controls]
     if any(type(q) is not int for q in control_qubits):
         raise ValueError("each control qubit must be an int")
@@ -256,8 +262,8 @@ def reference_gate_check(g: Gate, n: int) -> None:
     if g.target in control_qubits:
         raise ValueError("control and target qubits overlap")
     if g.kind in ROTATION_KINDS:
-        if g.angle is None:
-            raise ValueError(f"{g.kind} needs an angle")
+        if type(g.angle) is not float or not math.isfinite(g.angle):
+            raise ValueError(f"{g.kind} needs a finite float angle")
     elif g.angle is not None:
         raise ValueError(f"{g.kind} does not take an angle")
     for q in g.qubits:
@@ -271,18 +277,27 @@ def any_gates(draw):
     qubits in -1..n, and an angle or none, valid or not.
 
     Most targets are an int; the rest are a 1-tuple (the old tuple form),
-    None or a bool.  Most control qubits are an int; the rest are a bool or
-    a float.  Half keep every qubit inside 0..n-1 and half repeat none, so
-    each rule meets gates that break only it.
+    None or a bool.  Most controls are a pair; the rest are a bare qubit,
+    a 1-tuple or a triple.  Most control qubits are an int; the rest are a
+    bool or a float.  Most polarities are a bool; the rest are an int, a
+    string or a numpy bool.  Angles are finite floats, None, or a NaN, an
+    infinity, an int or a numpy float.  Half keep every qubit inside
+    0..n-1 and half repeat none, so each rule meets gates that break only it.
     """
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1) if draw(st.booleans()) else st.integers(-1, n)
     qubits = draw(st.lists(qubit, min_size=1, max_size=4, unique=draw(st.booleans())))
     target = draw(st.sampled_from((qubits[0],) * 3 + ((qubits[0],), None, True)))
-    controls = tuple((draw(st.sampled_from((q,) * 5 + (bool(q), float(q)))), draw(st.booleans()))
-                     for q in qubits[1:])
+
+    def control(q):
+        pair = (draw(st.sampled_from((q,) * 5 + (bool(q), float(q)))),
+                draw(st.sampled_from((True, False) * 3 + (1, "no", np.True_))))
+        return draw(st.sampled_from((pair,) * 6 + (q, (q,), (*pair, q))))
+
+    controls = tuple(control(q) for q in qubits[1:])
     kind = draw(st.sampled_from(sorted(GATE_KINDS) + ["warp"]))
-    angle = draw(st.none() | st.floats(-6.0, 6.0))
+    angle = draw(st.none() | st.floats(-6.0, 6.0)
+                 | st.sampled_from((math.nan, math.inf, 1, np.float64(0.5))))
     return Gate(kind, target, controls, angle), n
 
 
@@ -333,6 +348,36 @@ def test_non_int_controls_fail_loudly(control):
     # a bool control would be written as q[True], which parse_qasm rejects
     with pytest.raises(ValueError, match="each control qubit must be an int"):
         Circuit(2, (Gate("x", 0, ((control, True),)),))
+
+
+@pytest.mark.parametrize("control", [(0,), 0, (0, True, 1)], ids=["1-tuple", "bare", "triple"])
+def test_non_pair_controls_fail_loudly(control):
+    # a bare qubit once raised a TypeError from unpacking, not a ValueError
+    with pytest.raises(ValueError, match=r"Gate\(kind='x'.*: a control must be a \(qubit, pol"):
+        Circuit(2, (Gate("x", 1, (control,)),))
+
+
+@pytest.mark.parametrize("positive", ["no", 1, np.True_], ids=["str", "int", "numpy"])
+def test_non_bool_polarities_fail_loudly(positive):
+    # ("no") was written as the positive cx q[0],q[1]
+    with pytest.raises(ValueError, match=r"Gate\(kind='x'.*: each control polarity must be a bool"):
+        Circuit(2, (Gate("x", 1, ((0, positive),)),))
+
+
+@pytest.mark.parametrize("control", [0.9, (0.9, True), np.int64(0)], ids=["float", "pair", "numpy"])
+def test_helpers_keep_control_qubits_as_given(control):
+    # x(1, (0.9,)) was truncated to the control qubit 0
+    with pytest.raises(ValueError, match="each control qubit must be an int"):
+        Circuit(2, (x(1, (control,)),))
+
+
+@pytest.mark.parametrize("angle", [np.float64(0.5), math.nan, math.inf, 1],
+                         ids=["numpy", "nan", "inf", "int"])
+def test_rotation_angles_are_finite_floats(angle):
+    # the QASM of each would not parse, or would not read back byte for byte
+    for gate in (Gate("ry", 0, (), angle), ry(angle, 0)):
+        with pytest.raises(ValueError, match=r"Gate\(kind='ry'.*: a rotation angle must be"):
+            Circuit(1, (gate,))
 
 
 @pytest.mark.parametrize("gate, qubits", [

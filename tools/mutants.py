@@ -131,14 +131,30 @@ MUTANTS = (
          "isinstance(g.controls, tuple)"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_targets_fail_loudly")),
     Mutant("circuit-accepts-bool-control", "circuit.py", (
-        ("if type(q) is int and 0 <= q < n]", "if 0 <= q < n]"),),
+        ("and type(q) is int and 0 <= q < n]", "and 0 <= q < n]"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_controls_fail_loudly")),
+    Mutant("circuit-accepts-non-bool-polarity", "circuit.py", (
+        ("if type(pos) is bool and type(q) is int", "if type(q) is int"),),
+        (CHECK_PROPERTY, "tests/test_circuit.py::test_non_bool_polarities_fail_loudly")),
+    Mutant("circuit-accepts-nonfinite-angle", "circuit.py", (
+        ("type(g.angle) is float and isfinite(g.angle)", "type(g.angle) is float"),),
+        (CHECK_PROPERTY, "tests/test_circuit.py::test_rotation_angles_are_finite_floats")),
+    Mutant("helper-truncates-control-qubit", "circuit.py", (
+        ("c if isinstance(c, tuple) else (c, True)",
+         "(int(c[0]), c[1]) if isinstance(c, tuple) else (int(c), True)"),),
+        ("tests/test_circuit.py::test_helpers_keep_control_qubits_as_given",)),
     Mutant("circuit-accepts-repeated-measured", "circuit.py", (
         ("        if twice := [q for q in self.measured if self.measured.count(q) > 1]:\n"
          '            raise ValueError(f"measured qubit {twice[0]} is listed more than once")\n',
          ""),),
         ("tests/test_circuit.py::test_measured_qubits_in_order",
          "tests/test_simulate.py::TestRepeatedMeasurement::test_sample_circuit_measuring_twice")),
+    # the package resolves each public name from the module that defines it
+    Mutant("init-name-under-wrong-module", "__init__.py", (
+        ('"lower_negative_controls",\n        "metrics",\n', '"lower_negative_controls",\n'),
+        ('"g_statistic", "js_divergence", "kl_divergence")',
+         '"g_statistic", "js_divergence", "kl_divergence", "metrics")')),
+        ("tests/test_package.py::test_each_name_is_its_modules_object",)),
     # the gate definitions: each body means its gate, and defines what it calls
     Mutant("mc-body-second-half-sign", "qasm.py", (
         ('f"{base}(-{p}/2) {cs[-1]},t;', 'f"{base}({p}/2) {cs[-1]},t;'),), (BODY_MEANING,)),

@@ -120,6 +120,7 @@ class Circuit:
         n = self.num_qubits
         if n <= 0:
             raise ValueError("circuit needs at least one qubit")
+        last = None  # the last control tuple that passed; a run of gates often shares one
         for g in _distinct(self.gates):
             if not (type(g.target) is int and isinstance(g.controls, tuple)):
                 raise ValueError(f"{g}: the target must be an int and the controls a tuple")
@@ -133,16 +134,20 @@ class Circuit:
             if not 0 <= g.target < n:
                 raise ValueError(f"{g} touches a qubit outside 0..{n - 1}")
             if g.controls:  # (int, bool) pairs; in range, apart from each other and the target
-                try:
-                    cs = [q for q, pos in g.controls
-                          if type(pos) is bool and type(q) is int and 0 <= q < n]
-                except (TypeError, ValueError):  # a control that does not unpack into two
-                    raise ValueError(f"{g}: a control must be a (qubit, polarity) pair") from None
-                if len({g.target, *cs}) != len(g.controls) + 1:
+                if g.controls is not last:
+                    try:  # a list pair unpacks, but does not hash
+                        hash(g.controls)
+                        cs = {q for q, pos in g.controls
+                              if type(pos) is bool and type(q) is int and 0 <= q < n}
+                    except (TypeError, ValueError):
+                        raise ValueError(f"{g}: a control must be a (qubit, polarity) pair") from None
+                    last = g.controls
+                if len(cs) != len(g.controls) or g.target in cs:
                     raise ValueError(f"{g}: each control polarity must be a bool"
                                      if any(type(pos) is not bool for _, pos in g.controls)
-                                     else f"{g} uses a qubit twice" if len(cs) == len(g.controls)
-                                     else f"{g}: each control qubit must be an int in 0..{n - 1}")
+                                     else f"{g}: each control qubit must be an int in 0..{n - 1}"
+                                     if any(type(q) is not int or not 0 <= q < n for q, _ in g.controls)
+                                     else f"{g} uses a qubit twice")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
         if not all(0 <= q < n for q in self.measured):

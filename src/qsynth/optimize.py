@@ -23,14 +23,13 @@ from .circuit import (
     cz,
     h,
     lower_negative_controls,
-    rx,
     ry,
-    rz,
     x,
 )
 from .encoding import synth_amplitude
 from .errors import NoSymmetry, PatternIncomplete
 from .funcprep import Pmf
+from .qasm import _inline
 
 SYMMETRY_TOLERANCE = 1e-12
 
@@ -310,61 +309,15 @@ def symmetric_optimize(pmf_or_tree, kind: str) -> Circuit:
 _T = math.pi / 4
 
 
-def _toffoli_body(a: int, b: int, t: int) -> list[Gate]:
-    """Positive-control Toffoli over {h, cx, rz}, exact up to global phase."""
-    return [
-        h(t), x(t, (b,)), rz(-_T, t), x(t, (a,)), rz(_T, t),
-        x(t, (b,)), rz(-_T, t), x(t, (a,)), rz(_T, b), rz(_T, t),
-        h(t), x(b, (a,)), rz(_T, a), rz(-_T, b), x(b, (a,)),
-    ]
-
-
-def _relative_toffoli(a: int, b: int, t: int) -> list[Gate]:
+def _relative_toffoli(step: Gate) -> list[Gate]:
     """Toffoli times diag(-1 on |a=1, b=0, t=1>) over {ry, cx}; its own inverse.
 
     For chain steps only, whose mirror cancels the phase (Barenco et al.
     1995, section 6.2): 7 gates where the exact body takes 15.
     """
+    (a, _), (b, _), t = *step.controls, step.target
     return [ry(_T, t), x(t, (b,)), ry(_T, t), x(t, (a,)),
             ry(-_T, t), x(t, (b,)), ry(-_T, t)]
-
-
-def _single_control_abc(gate: Gate) -> list[Gate]:
-    """One positive control, any non-X kind, over {h, cx, rx, ry, rz}."""
-    (c, _), = gate.controls
-    t = gate.target
-    kind = gate.kind
-    if kind in ("rz", "ry"):
-        rot = rz if kind == "rz" else ry
-        return [rot(gate.angle / 2, t), x(t, (c,)), rot(-gate.angle / 2, t), x(t, (c,))]
-    if kind == "rx":
-        return [h(t)] + _single_control_abc(rz(gate.angle, t, (c,))) + [h(t)]
-    if kind == "z":
-        return [h(t), x(t, (c,)), h(t)]
-    if kind == "sx":
-        return [rz(_T, c)] + _single_control_abc(rx(math.pi / 2, t, (c,)))
-    if kind == "sxdg":
-        return [rz(-_T, c)] + _single_control_abc(rx(-math.pi / 2, t, (c,)))
-    if kind == "h":
-        # H = RY(pi/4) Z RY(-pi/4); the list applies the rightmost factor first
-        return (
-            [ry(-math.pi / 4, t)]
-            + _single_control_abc(cz(c, t))
-            + [ry(math.pi / 4, t)]
-        )
-    raise ValueError(f"cannot lower controlled {kind!r}")
-
-
-def _bare_translation(gate: Gate) -> list[Gate]:
-    kind = gate.kind
-    t = gate.target
-    if kind == "z":
-        return [rz(math.pi, t)]
-    if kind == "sx":
-        return [rx(math.pi / 2, t)]
-    if kind == "sxdg":
-        return [rx(-math.pi / 2, t)]
-    return [gate]
 
 
 def lower_to_uniform(circuit: Circuit) -> Circuit:
@@ -374,32 +327,19 @@ def lower_to_uniform(circuit: Circuit) -> Circuit:
     ``lower_negative_controls``; every gate with two or more controls
     but a Toffoli goes through ``_ladder``'s chain (with shared appended
     ancillas), one chain per run of gates that share a control tuple.
-    What is left has at most two controls.  A Toffoli onto an appended
-    ancilla is a chain step and becomes the 7-gate relative-phase
-    Toffoli, whose phase the step's mirror cancels; any other Toffoli (a
-    payload of the input) becomes the exact 15-gate CX/RZ/H block.
-    Single-controlled gates are conjugated down to controlled-RZ form,
-    and exotic bare gates are translated to rotations.
-
-    Each distinct gate object is lowered once, and every Toffoli body
-    once per (control, control, target); the output tuple repeats those
-    immutable Gate instances wherever the same expansion recurs.
+    A Toffoli onto an appended ancilla is a chain step and becomes the
+    7-gate relative-phase Toffoli, whose phase the step's mirror cancels.
+    Every other gate is ``qasm._inline``'d: it stays if the uniform set has
+    it, else it becomes the body of the definition the emitter writes for
+    it, with u1 read as rz (a Toffoli of the input: the 15 gates of ccx).
+    Each distinct gate object is lowered once, and the output repeats
+    those immutable Gate instances wherever the same expansion recurs.
     """
     n = circuit.num_qubits
-    toffoli = functools.cache(_toffoli_body)  # per call, keyed by (a, b, t)
-
-    def lower(gate: Gate) -> list[Gate]:
-        if len(gate.controls) == 2:
-            (a, _), (b, _) = gate.controls
-            t = gate.target
-            return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)
-        if len(gate.controls) == 1:
-            return [gate] if gate.kind == "x" else _single_control_abc(gate)
-        return _bare_translation(gate)
-
     laddered = _ladder(lower_negative_controls(circuit),
                        lambda g: len(g.controls) > 2 or len(g.controls) == 2 and g.kind != "x")
-    return _rewrite(laddered, lower)
+    # a gate onto an appended ancilla is a chain step
+    return _rewrite(laddered, lambda g: _relative_toffoli(g) if g.target >= n else _inline(g))
 
 
 PASSES = {

@@ -6,7 +6,8 @@ A gate's name is its IR kind with its control count: the bare kind,
 then c<kind> (cx, cz, crz, ...), ccx, and mc<kind>_<k> per arity (mcx_3,
 mcrz_4, ...) with small recursive bodies.  Expanded from U and CX as the
 specification defines them, each body equals its IR gate up to one
-global phase, which is nonzero for most controlled bodies.
+global phase, which is nonzero for most controlled bodies.  ``_inline``
+lowers a gate to the uniform set by these same bodies, u1 read as rz.
 
 The parser reads files shaped like the emitter's output: definitions are
 skipped by name (never expanded) and applications map straight back to
@@ -20,6 +21,7 @@ rotation of a known shape costs one repr or one float of its angle.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -27,6 +29,11 @@ from .circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, _per_gate, lower
 from .errors import UnsupportedGateForGateset, UnsupportedStatement
 
 UNIFORM_GATESET = frozenset({"rx", "ry", "rz", "x", "h"})
+
+
+def _uniform(kind: str, k: int) -> bool:
+    """Whether the uniform gate set has ``kind`` with ``k`` controls: only x takes one."""
+    return kind in UNIFORM_GATESET and k <= (kind == "x")
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +64,7 @@ _BASE_DEFS: dict[str, str] = {
     "ch": "gate ch a,b { ry(-pi/4) b; cz a,b; ry(pi/4) b; }",
 }
 
-_MC_RE = re.compile(r"mc(u1|x|z|rz|rx|ry|h|sx|sxdg)_(\d+)")  # every family with mc names
+_MC_RE = re.compile(rf"mc({'|'.join(sorted(GATE_KINDS | {'u1'}))})_(\d+)")  # mc<family>_<k>
 
 
 def _mc_name(family: str, k: int) -> str:
@@ -123,7 +130,45 @@ def _definition(name: str) -> str:
     return _mc_def(m.group(1), int(m.group(2)))
 
 
-_CALL_RE = re.compile(r"[{;] ([a-z]\w*)")  # a gate a body calls; the builtins U, CX are upper case
+# a call in a body, name(-arg/divisor) operands; the builtins U, CX are upper case
+_CALL_RE = re.compile(r"(?<=[{;] )([a-z]\w*)(?:\((-?)(\w+)(?:/(\d+))?\))? ([\w,]+);")
+
+
+@functools.cache
+def _leaves(kind: str, k: int) -> tuple:
+    """The body of ``kind`` with ``k`` controls over the uniform set, every call inlined.
+
+    A leaf is (kind, target, control or None, sign, base, divisor), qubits
+    as positions among the gate's operands; a rotation's angle is sign *
+    base / divisor, a base of None being the gate's own angle, and other
+    leaves have divisor None.  u1 is read as rz, a global phase apart; bare
+    sx and sxdg, whose U(...) bodies lie outside the set, are rx(+-pi/2).
+    """
+    if _uniform(kind, k):  # itself, on its own operands and angle
+        return ((kind, k, k - 1 if k else None, 1.0, None, 1 if kind in ROTATION_KINDS else None),)
+    if k == 0 and kind in ("sx", "sxdg"):
+        return (("rx", 0, None, 1.0 if kind == "sx" else -1.0, math.pi, 2),)
+    text = _definition(_mc_name(kind, k))
+    formals = text.partition("{")[0].split()[-1].split(",")
+    out = []
+    for name, minus, base, div, args in _CALL_RE.findall(text):
+        pos = [formals.index(a) for a in args.split(",")]
+        for leaf, t, c, s, b, d in _leaves(*(("rz", 0) if name == "u1" else _NAME_TABLE[name])):
+            if b is None and d is not None:  # the callee's angle is this call's argument
+                s, b, d = -s if minus else s, math.pi if base == "pi" else None, d * int(div or 1)
+            out.append((leaf, pos[t], None if c is None else pos[c], s, b, d))
+    return tuple(out)
+
+
+def _inline(gate: Gate) -> list[Gate]:
+    """``gate`` (at most one control, or a Toffoli): itself if uniform, else its body's leaves."""
+    k = len(gate.controls)
+    if _uniform(gate.kind, k):
+        return [gate]
+    qs, angle = gate.qubits, gate.angle
+    return [Gate(kind, qs[t], () if c is None else ((qs[c], True),),
+                 None if d is None else s * (angle if b is None else b) / d)
+            for kind, t, c, s, b, d in _leaves(gate.kind, k)]
 
 
 def _collect_definitions(names) -> list[str]:
@@ -135,7 +180,7 @@ def _collect_definitions(names) -> list[str]:
         if name in done:
             return
         done.add(name)
-        for dep in _CALL_RE.findall(text := _definition(name)):
+        for dep, *_ in _CALL_RE.findall(text := _definition(name)):
             visit(dep)
         emitted.append(text)
 
@@ -177,7 +222,7 @@ def emit_qasm(circuit: Circuit, gateset: str = "natural") -> str:
     shapes: dict = {}  # (kind, target, controls) -> its line, or the text around its angle
 
     def shape(kind: str, target: int, controls) -> str | tuple[str, str]:
-        if gateset == "uniform" and (kind not in UNIFORM_GATESET or len(controls) > (kind == "x")):
+        if gateset == "uniform" and not _uniform(kind, len(controls)):
             raise UnsupportedGateForGateset(
                 f"{kind} with {len(controls)} controls is outside the uniform gateset")
         name = _mc_name(kind, len(controls))

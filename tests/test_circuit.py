@@ -278,11 +278,12 @@ def any_gates(draw):
 
     Most targets are an int; the rest are a 1-tuple (the old tuple form),
     None or a bool.  Most controls are a pair; the rest are a bare qubit,
-    a 1-tuple or a triple.  Most control qubits are an int; the rest are a
-    bool or a float.  Most polarities are a bool; the rest are an int, a
-    string or a numpy bool.  Angles are finite floats, None, or a NaN, an
-    infinity, an int or a numpy float.  Half keep every qubit inside
-    0..n-1 and half repeat none, so each rule meets gates that break only it.
+    a 1-tuple, a two-element list or a triple.  Most control qubits are an
+    int; the rest are a bool or a float.  Most polarities are a bool; the
+    rest are an int, a string or a numpy bool.  Angles are finite floats,
+    None, or a NaN, an infinity, an int or a numpy float.  Half keep every
+    qubit inside 0..n-1 and half repeat none, so each rule meets gates that
+    break only it.
     """
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1) if draw(st.booleans()) else st.integers(-1, n)
@@ -292,7 +293,7 @@ def any_gates(draw):
     def control(q):
         pair = (draw(st.sampled_from((q,) * 5 + (bool(q), float(q)))),
                 draw(st.sampled_from((True, False) * 3 + (1, "no", np.True_))))
-        return draw(st.sampled_from((pair,) * 6 + (q, (q,), (*pair, q))))
+        return draw(st.sampled_from((pair,) * 6 + (q, (q,), list(pair), (*pair, q))))
 
     controls = tuple(control(q) for q in qubits[1:])
     kind = draw(st.sampled_from(sorted(GATE_KINDS) + ["warp"]))
@@ -350,11 +351,21 @@ def test_non_int_controls_fail_loudly(control):
         Circuit(2, (Gate("x", 0, ((control, True),)),))
 
 
-@pytest.mark.parametrize("control", [(0,), 0, (0, True, 1)], ids=["1-tuple", "bare", "triple"])
+@pytest.mark.parametrize("control", [(0,), 0, (0, True, 1), [0, True]],
+                         ids=["1-tuple", "bare", "triple", "list"])
 def test_non_pair_controls_fail_loudly(control):
-    # a bare qubit once raised a TypeError from unpacking, not a ValueError
+    # a bare qubit once raised a TypeError from unpacking, not a ValueError;
+    # a list pair unpacked and built, then failed the first hash of its gate
     with pytest.raises(ValueError, match=r"Gate\(kind='x'.*: a control must be a \(qubit, pol"):
         Circuit(2, (Gate("x", 1, (control,)),))
+
+
+def test_shared_control_tuple_is_checked_against_each_target():
+    # gates after the first that share its control tuple skip the tuple's own check
+    cs = ((0, True), (1, True))
+    Circuit(3, (Gate("x", 2, cs), Gate("x", 2, cs)))
+    with pytest.raises(ValueError, match="uses a qubit twice"):
+        Circuit(3, (Gate("x", 2, cs), Gate("x", 1, cs)))
 
 
 @pytest.mark.parametrize("positive", ["no", 1, np.True_], ids=["str", "int", "numpy"])

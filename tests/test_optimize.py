@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynth.circuit import ROTATION_KINDS, Circuit, Gate, cz, h, metrics, ry, rz, x
+from qsynth.circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, metrics, ry, rz, x
 from qsynth.encoding import angle_tree, synth_amplitude
 from qsynth.errors import NoSymmetry, PatternIncomplete
 from qsynth.funcprep import Pmf
@@ -464,6 +464,19 @@ class TestLowerToUniform:
     def test_controlled_h_and_z(self):
         self.check(circuit(2, Gate("h", 1, ((0, True),)),
                            Gate("z", 1, ((0, True),))))
+
+    @pytest.mark.parametrize("kind, k", [(kind, k) for kind in sorted(GATE_KINDS) for k in (0, 1)]
+                             + [("x", 2)])
+    def test_each_kind_lowers_to_its_own_unitary(self, kind, k):
+        # one gate at a time, so a wrong body cannot hide behind its neighbours
+        gate = Gate(kind, 0, tuple((q, True) for q in range(1, k + 1)),
+                    0.7 if kind in ROTATION_KINDS else None)
+        circ = Circuit(k + 1, (gate,))
+        self.check(circ)
+        low = lower_to_uniform(circ)
+        assert low.num_qubits == k + 1
+        if kind in self.ALLOWED and k <= (kind == "x"):  # already in the set: the same object
+            assert len(low.gates) == 1 and low.gates[0] is gate
 
     def test_exotic_bare_gates(self):
         self.check(circuit(1, Gate("z", 0), Gate("sx", 0),

@@ -13,7 +13,7 @@ all pass.  An old text that is not in its file exactly once is an
 error, not a skip, so a change that moves mutated code must move the
 mutant with it; so is a pytest run that neither passes nor fails (a
 test id that does not exist, a collection error).  Run from anywhere
-(about two minutes on 2 CPUs):
+(about three minutes on 2 CPUs):
 
     python3 tools/mutants.py
 
@@ -52,6 +52,8 @@ CHECK_PROPERTY = "tests/test_circuit.py::test_circuit_checks_match_reference"
 ADDRESS_ORDER = "tests/test_encoding.py::TestMemoryImage::test_addresses_read_in_ascending_order"
 ROUND_TRIP_PROPERTY = "tests/test_qasm.py::test_emit_parse_gives_back_the_circuit"
 BODY_MEANING = "tests/test_qasm.py::TestDefinitionSemantics::test_each_body_means_its_gate"
+EACH_KIND_LOWERED = (
+    "tests/test_optimize.py::TestLowerToUniform::test_each_kind_lowers_to_its_own_unitary")
 
 MUTANTS = (
     # the bit-sliced ESOP reference of `qsynth verify`
@@ -78,8 +80,9 @@ MUTANTS = (
          "        run = list(run)\n"
          "        c = run[0][0]\n"),), (LOWERING_PROPERTY,)),
     Mutant("relative-phase-payload-toffoli", "optimize.py", (
-        ("return _relative_toffoli(a, b, t) if t >= n else toffoli(a, b, t)",
-         "return _relative_toffoli(a, b, t)"),), (LOWERING_PROPERTY,)),
+        ("_relative_toffoli(g) if g.target >= n else _inline(g)",
+         "_relative_toffoli(g) if len(g.controls) == 2 else _inline(g)"),),
+        (LOWERING_PROPERTY, EACH_KIND_LOWERED)),
     # a mirror whose relative phase is not its chain's: the 7 gates reversed
     # with their angles unchanged (-1 on |a=1, b=0, t=0>), and the mirror a
     # copy with swapped controls.  Either edit alone is an equivalent mutant:
@@ -131,11 +134,14 @@ MUTANTS = (
          "isinstance(g.controls, tuple)"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_targets_fail_loudly")),
     Mutant("circuit-accepts-bool-control", "circuit.py", (
-        ("and type(q) is int and 0 <= q < n]", "and 0 <= q < n]"),),
+        ("and type(q) is int and 0 <= q < n}", "and 0 <= q < n}"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_int_controls_fail_loudly")),
     Mutant("circuit-accepts-non-bool-polarity", "circuit.py", (
         ("if type(pos) is bool and type(q) is int", "if type(q) is int"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_non_bool_polarities_fail_loudly")),
+    Mutant("circuit-accepts-list-control", "circuit.py", (
+        ("                        hash(g.controls)\n", ""),),
+        (CHECK_PROPERTY, "tests/test_circuit.py::test_non_pair_controls_fail_loudly")),
     Mutant("circuit-accepts-nonfinite-angle", "circuit.py", (
         ("type(g.angle) is float and isfinite(g.angle)", "type(g.angle) is float"),),
         (CHECK_PROPERTY, "tests/test_circuit.py::test_rotation_angles_are_finite_floats")),
@@ -159,8 +165,19 @@ MUTANTS = (
     Mutant("mc-body-second-half-sign", "qasm.py", (
         ('f"{base}(-{p}/2) {cs[-1]},t;', 'f"{base}({p}/2) {cs[-1]},t;'),), (BODY_MEANING,)),
     Mutant("definition-skips-first-call", "qasm.py", (
-        ('_CALL_RE = re.compile(r"[{;] ([a-z]\\w*)")', '_CALL_RE = re.compile(r"[;] ([a-z]\\w*)")'),),
+        ('_CALL_RE = re.compile(r"(?<=[{;] )', '_CALL_RE = re.compile(r"(?<=[;] )'),),
         (BODY_MEANING,)),
+    # the uniform lowering inlines those same bodies, so a wrong body fails both
+    Mutant("crz-body-sign", "qasm.py", (
+        ("u1(theta/2) b; cx a,b; u1(-theta/2) b;", "u1(theta/2) b; cx a,b; u1(theta/2) b;"),),
+        (BODY_MEANING,)),
+    Mutant("crz-body-sign-lowered", "qasm.py", (
+        ("u1(theta/2) b; cx a,b; u1(-theta/2) b;", "u1(theta/2) b; cx a,b; u1(theta/2) b;"),),
+        (EACH_KIND_LOWERED,)),
+    Mutant("inline-drops-argument-sign", "qasm.py", (
+        ("s, b, d = -s if minus else s,", "s, b, d = s,"),), (EACH_KIND_LOWERED,)),
+    Mutant("inline-drops-divisor", "qasm.py", (
+        ("d * int(div or 1)", "d"),), (EACH_KIND_LOWERED,)),
     # memory images read their addresses in ascending order
     Mutant("basis-addresses-unsorted", "encoding.py", (
         ("for a, x in sorted(table.entries.items()))", "for a, x in table.entries.items())"),),

@@ -38,7 +38,7 @@ _EXPORTS = {
         "synth_basis",
     ),
     "errors": ("QsynthError",),
-    "esop": ("EsopSpec", "evaluate_esop_table", "synth_esop", "to_esop"),
+    "esop": ("evaluate_esop_table", "synth_esop", "to_esop"),
     "funcprep": (
         "Pmf",
         "RttResult",

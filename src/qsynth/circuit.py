@@ -14,13 +14,14 @@ qubit q as (q, True)).  Rotation kinds carry a finite float angle in
 radians; no other kind does.  A ``Gate`` is a plain record: the
 ``Circuit`` it joins checks it, once per distinct gate object.  A
 measurement is not a gate: a circuit's ``measured`` qubits, each once,
-follow its last gate.
+follow its last gate.  A circuit's fields are what its QASM carries: an
+int qubit count (not a bool), tuples, and labels free of whitespace.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from math import isfinite
 
@@ -105,8 +106,8 @@ class Circuit:
     ``gates`` may repeat one immutable Gate instance any number of times
     (lowered circuits do, heavily); whole-circuit walks that do real work
     per gate do it once per distinct object (see ``_per_gate``).
-    Construction is the one place that checks gates, so a gate from
-    ``extend``, ``replace`` or ``parse_qasm`` meets every rule.
+    Construction is the one place that checks gates, so a gate from the
+    constructor, ``replace`` or ``parse_qasm`` meets every rule.
     ``measured`` lists the qubits read after the last gate; entry j is
     outcome bit j, and no qubit is listed twice.
     """
@@ -118,8 +119,12 @@ class Circuit:
 
     def __post_init__(self) -> None:
         n = self.num_qubits
+        if type(n) is not int:
+            raise ValueError(f"the qubit count must be an int, got {n!r}")
         if n <= 0:
             raise ValueError("circuit needs at least one qubit")
+        if not all(isinstance(f, tuple) for f in (self.gates, self.labels, self.measured)):
+            raise ValueError("gates, labels and measured must be tuples")
         last = None  # the last control tuple that passed; a run of gates often shares one
         for g in _distinct(self.gates):
             if not (type(g.target) is int and isinstance(g.controls, tuple)):
@@ -150,6 +155,10 @@ class Circuit:
                                      else f"{g} uses a qubit twice")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must name every qubit")
+        if not all(type(s) is str and s.split() == [s] for s in self.labels):
+            raise ValueError("each label must be a non-empty str with no whitespace")
+        if not all(type(q) is int for q in self.measured):
+            raise ValueError("each measured qubit must be an int")
         if not all(0 <= q < n for q in self.measured):
             raise ValueError(f"a measured qubit lies outside 0..{n - 1}")
         if twice := [q for q in self.measured if self.measured.count(q) > 1]:
@@ -157,9 +166,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def extend(self, gates) -> "Circuit":
-        return replace(self, gates=self.gates + tuple(gates))
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,6 @@ class Metrics:
     complexity: int
     depth: int
     parameterized_gate_count: int
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 def metrics(circuit: Circuit) -> Metrics:

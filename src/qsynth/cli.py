@@ -25,6 +25,7 @@ import json
 import multiprocessing
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ def _synthesize(source: Path, method: str, opt: list[str],
         "synth_time_us": elapsed_us,
         "ir_gate_count": ir_gate_count,
     }
-    report.update(metrics(circ).as_dict())
+    report.update(asdict(metrics(circ)))
     return circ, report
 
 

@@ -33,7 +33,7 @@ from .funcprep import (
     normalize_pmf,
     to_truth_table,
 )
-from .esop import EsopSpec, synth_esop
+from .esop import synth_esop
 from .pla import PlaTable
 
 PMF_TOLERANCE = 1e-9
@@ -56,7 +56,7 @@ def synth_basis(table: TruthTable) -> Circuit:
     cubes = tuple((format(a, f"0{table.n}b"), format(x, f"0{table.m}b"))
                   for a, x in sorted(table.entries.items()))
     labels = tuple(f"a{i}" for i in range(table.n)) + tuple(f"d{i}" for i in range(table.m))
-    return replace(synth_esop(EsopSpec(table.n, table.m, cubes)), labels=labels)
+    return replace(synth_esop(PlaTable(table.n, table.m, cubes)), labels=labels)
 
 
 def synth_angle(table: TruthTable, normalized: NormalizedWords) -> Circuit:

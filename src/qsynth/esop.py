@@ -1,11 +1,11 @@
 """Exclusive-sum-of-products synthesis.
 
-A cube list is read with XOR semantics: an output bit is the parity of
-the matching cubes that set it.  Cube lists produced by exclusive-cover
-minimizers already mean exactly that, and for the common case of a
-disjoint cover the XOR and OR readings agree on every minterm.  Callers
-whose cubes mean OR and may overlap can ask for a disjointness check
-with ``strict_or``.
+A cube list is a ``PlaTable`` read with XOR semantics: an output bit is
+the parity of the matching cubes that set it, so no output may be a
+don't-care (each function here refuses one).  Cube lists produced by
+exclusive-cover minimizers already mean exactly that, and for a disjoint
+cover the XOR and OR readings agree on every minterm.  Callers whose
+cubes mean OR and may overlap can ask for a check with ``strict_or``.
 
 The circuit mapping is direct: each (cube, hot output bit) pair becomes
 one X gate targeting that output qubit, with a positive control per
@@ -20,7 +20,6 @@ over every input word; ``qsynth verify`` takes its esop reference from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .errors import WidthMismatch
@@ -28,20 +27,11 @@ from .pla import PlaTable
 from .simulate import _bit_columns, _words_of
 
 
-@dataclass(frozen=True)
-class EsopSpec:
-    """A cube list under XOR semantics with dash-free outputs."""
-
-    n: int
-    m: int
-    cubes: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        for ins, outs in self.cubes:
-            if len(ins) != self.n or len(outs) != self.m:
-                raise WidthMismatch(f"cube {ins} {outs} does not match {self.n}/{self.m}")
-            if "-" in outs:
-                raise WidthMismatch("output don't-cares must be assigned before synthesis")
+def _xor_cubes(table: PlaTable) -> tuple[tuple[str, str], ...]:
+    """The cubes of ``table``: an XOR cube list has no output don't-care."""
+    if any("-" in outs for _, outs in table.rows):
+        raise WidthMismatch("assign output don't-cares before building an exclusive cover")
+    return table.rows
 
 
 def _intersect(a: str, b: str) -> str | None:
@@ -64,7 +54,7 @@ def _overlapping_pairs(cubes) -> list[tuple[int, int]]:
             and any(a == b == "1" for a, b in zip(outs_a, outs_b))]
 
 
-def _cover_to_xor(cubes: list[tuple[str, str]], n: int, m: int) -> list[tuple[str, str]]:
+def _cover_to_xor(table: PlaTable) -> PlaTable:
     """Rewrite OR semantics as XOR semantics, output column by column.
 
     Folding a | b = a ^ b ^ ab over the cube list: adding a cube also adds
@@ -72,27 +62,19 @@ def _cover_to_xor(cubes: list[tuple[str, str]], n: int, m: int) -> list[tuple[st
     minterms get their parity corrected.  Used where a cover interpretation
     is required regardless of overlap (search predicates).  With one
     output, a disjoint list of hot cubes comes back unchanged, in order.
+    A cube's output that is not 1, don't-care or not, sets nothing.
     """
-    per_output: list[list[str]] = [[] for _ in range(m)]
+    m = table.m
+    merged: dict[str, int] = {}
     for k in range(m):
         terms: list[str] = []
-        for ins, outs in cubes:
-            if outs[k] != "1":
-                continue
-            overlaps = [t for t in (_intersect(e, ins) for e in terms) if t is not None]
-            terms.append(ins)
-            terms.extend(overlaps)
-        per_output[k] = terms
-
-    merged: dict[str, int] = {}
-    for k, terms in enumerate(per_output):
+        for ins, outs in table.rows:
+            if outs[k] == "1":
+                terms += [ins, *[t for t in (_intersect(e, ins) for e in terms) if t is not None]]
         for ins in terms:
             merged[ins] = merged.get(ins, 0) ^ (1 << (m - 1 - k))
-    out = []
-    for ins, mask in merged.items():
-        if mask:
-            out.append((ins, format(mask, f"0{m}b")))
-    return out
+    return PlaTable(table.n, m, tuple((ins, format(mask, f"0{m}b"))
+                                      for ins, mask in merged.items() if mask))
 
 
 def _cancel_duplicates(cubes: list[tuple[str, str]], m: int) -> list[tuple[str, str]]:
@@ -136,8 +118,8 @@ def _merge_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bo
     return result, changed
 
 
-def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) -> EsopSpec:
-    """Read a cube list as an exclusive cover.
+def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) -> PlaTable:
+    """Read a cube list as an exclusive cover: ``table``, or its minimized cubes.
 
     With ``minimize``, duplicate cubes are cancelled (x ^ x = 0) and
     distance-1 cube pairs merged, repeating until nothing changes.
@@ -148,27 +130,20 @@ def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) ->
     which is the one situation where reading the list as XOR differs from
     reading it as a plain cover.
     """
-    for _, outs in table.rows:
-        if "-" in outs:
-            raise WidthMismatch("assign output don't-cares before building an exclusive cover")
-    cubes = list(table.rows)
-    if strict_or:
-        pairs = _overlapping_pairs(cubes)
-        if pairs:
-            warnings.warn(
-                f"{len(pairs)} cube pair(s) overlap on a shared output bit; "
-                "the XOR reading differs from the OR reading there"
-            )
-    if minimize:
-        while True:
-            cubes = _cancel_duplicates(cubes, table.m)
-            cubes, changed = _merge_pass(cubes)
-            if not changed:
-                break
-    return EsopSpec(n=table.n, m=table.m, cubes=tuple(cubes))
+    cubes = _xor_cubes(table)
+    if strict_or and (pairs := _overlapping_pairs(cubes)):
+        warnings.warn(f"{len(pairs)} cube pair(s) overlap on a shared output bit; "
+                      "the XOR reading differs from the OR reading there")
+    if not minimize:
+        return table
+    while True:
+        cubes = _cancel_duplicates(cubes, table.m)
+        cubes, changed = _merge_pass(cubes)
+        if not changed:
+            return PlaTable(table.n, table.m, tuple(cubes))
 
 
-def evaluate_esop_table(spec: EsopSpec, words) -> list[int]:
+def evaluate_esop_table(table: PlaTable, words) -> list[int]:
     """XOR evaluation of the cube list on every word of ``words``.
 
     Bit-sliced like simulate.run_reversible_table: a cube ANDs each literal's
@@ -176,13 +151,13 @@ def evaluate_esop_table(spec: EsopSpec, words) -> list[int]:
     words, and XORs that mask into the column of each hot output bit.
     """
     words = list(words)
-    if words and (min(words) < 0 or max(words) >> spec.n):
-        raise ValueError(f"an input word does not fit in {spec.n} bits")
+    if words and (min(words) < 0 or max(words) >> table.n):
+        raise ValueError(f"an input word does not fit in {table.n} bits")
     rows = len(words)
     every = (1 << rows) - 1
-    columns = _bit_columns(words, spec.n)
-    outputs = [0] * spec.m
-    for ins, outs in spec.cubes:
+    columns = _bit_columns(words, table.n)
+    outputs = [0] * table.m
+    for ins, outs in _xor_cubes(table):
         match = every
         for j, c in enumerate(ins):
             if c != "-":
@@ -193,15 +168,15 @@ def evaluate_esop_table(spec: EsopSpec, words) -> list[int]:
     return _words_of(outputs, rows)
 
 
-def synth_esop(spec: EsopSpec) -> Circuit:
+def synth_esop(table: PlaTable) -> Circuit:
     """Map each (cube, hot output bit) to one multi-controlled X gate.
 
     Qubits 0..n-1 carry the inputs, n..n+m-1 the outputs.  The circuit
     sends |x>|y> to |x>|y ^ f(x)>.
     """
-    n, m = spec.n, spec.m
+    n, m = table.n, table.m
     gates: list[Gate] = []
-    for ins, outs in spec.cubes:
+    for ins, outs in _xor_cubes(table):
         controls = tuple((j, c == "1") for j, c in enumerate(ins) if c != "-")
         for k, bit in enumerate(outs):
             if bit == "1":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, h, x
 from .errors import AllSolutions, NoSolutions
-from .esop import EsopSpec, _cover_to_xor, synth_esop
+from .esop import _cover_to_xor, synth_esop
 from .funcprep import expand
 from .pla import PlaTable
 from .simulate import _distribution_of, sample
@@ -57,8 +57,7 @@ def solutions(spec: GroverSpec) -> set[int]:
 
 
 def _oracle_gates(spec: GroverSpec) -> tuple[Gate, ...]:
-    cubes = [(ins, outs) for ins, outs in spec.predicate.rows if outs == "1"]
-    return synth_esop(EsopSpec(spec.n, 1, tuple(_cover_to_xor(cubes, spec.n, 1)))).gates
+    return synth_esop(_cover_to_xor(spec.predicate)).gates
 
 
 def _diffusion_gates(n: int) -> list[Gate]:

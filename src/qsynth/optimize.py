@@ -260,7 +260,7 @@ def _shift(gate: Gate, offset: int) -> Gate:
     )
 
 
-def symmetric_optimize(pmf_or_tree, kind: str) -> Circuit:
+def symmetric_optimize(pmf: Pmf, kind: str) -> Circuit:
     """Prepare a symmetric distribution with a shared half-size subtree.
 
     ``duplicate`` requires the first and second halves of the PMF to be
@@ -269,12 +269,9 @@ def symmetric_optimize(pmf_or_tree, kind: str) -> Circuit:
     bin (last - i): after the same H and shared preparation, a CX fans
     the branching qubit onto every lower qubit, reflecting the second
     half out of the first.  Raises NoSymmetry when the required relation
-    fails.
+    fails.  From an ``AngleTree``, pass ``Pmf(tree.leaf_probs)``.
     """
-    if isinstance(pmf_or_tree, Pmf):
-        probs = tuple(pmf_or_tree)
-    else:
-        probs = tuple(pmf_or_tree.leaf_probs)
+    probs = tuple(pmf)
     size = len(probs)
     nq = (size - 1).bit_length()
     half = size // 2

@@ -70,14 +70,12 @@ class Statevector:
     amplitudes: np.ndarray
     num_qubits: int
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def distribution(self, qubits=None) -> np.ndarray:
-        """Measurement distribution over the given qubits (default: all)."""
-        probs = self.probabilities().reshape((2,) * self.num_qubits)
+        """Measurement distribution over ``qubits`` in their order (default: all)."""
+        probs = np.abs(self.amplitudes) ** 2
         if qubits is None:
-            return probs.reshape(-1)
+            return probs
+        probs = probs.reshape((2,) * self.num_qubits)
         keep = list(qubits)
         for i, q in enumerate(keep):
             if q in keep[:i]:
@@ -315,9 +313,9 @@ def _distribution_of(obj) -> tuple[np.ndarray, int]:
         sv = run_statevector(obj)
         if obj.measured:
             return sv.distribution(obj.measured), len(obj.measured)
-        return sv.probabilities(), obj.num_qubits
+        return sv.distribution(), obj.num_qubits
     if isinstance(obj, Statevector):
-        return obj.probabilities(), obj.num_qubits
+        return obj.distribution(), obj.num_qubits
     if isinstance(obj, Pmf):
         return np.asarray(obj.probs), obj.num_qubits
     probs = np.asarray(list(obj), dtype=float)

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,9 @@ def test_gate_validation():
         Gate("x", ()),                 # the target is one int, not a tuple
         Gate("x", 0, ((0, True),)),    # control overlaps target
         Gate("x", 0, ((1, True), (1, False))),
+        Gate("x", 0, ((1, True), (1, True))),   # the same control twice
+        Gate("x", 1, ((-1, True),)),   # a control below qubit 0
+        Gate("x", 1, ((2, True),)),    # a control past the last qubit
         Gate("rx", 0),                 # missing angle
         Gate("x", 0, angle=1.0),       # angle on a fixed gate
         Gate("measure", 0),            # a measurement is not a gate
@@ -61,6 +64,29 @@ def test_circuit_validation():
         Circuit(num_qubits=2, gates=(), labels=("a",))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_qubits", 2.0, "the qubit count must be an int"),
+    ("num_qubits", True, "the qubit count must be an int"),
+    ("gates", [h(0)], "gates, labels and measured must be tuples"),
+    ("labels", ["a", "b"], "gates, labels and measured must be tuples"),
+    ("measured", [0], "gates, labels and measured must be tuples"),
+    ("measured", (True,), "each measured qubit must be an int"),
+    ("measured", (1.0,), "each measured qubit must be an int"),
+    ("labels", ("a", ""), "each label must be a non-empty str with no whitespace"),
+    ("labels", ("a", "b c"), "each label must be a non-empty str with no whitespace"),
+    ("labels", ("a", "b\nx q[1];"), "each label must be a non-empty str with no whitespace"),
+    ("labels", ("a", 1), "each label must be a non-empty str with no whitespace"),
+], ids=["float-count", "bool-count", "list-gates", "list-labels", "list-measured",
+        "bool-measured", "float-measured", "empty-label", "spaced-label", "newline-label",
+        "int-label"])
+def test_fields_its_qasm_cannot_carry_are_rejected(field, value, message):
+    # each used to build; its QASM then failed to emit or to parse, or read
+    # back as another circuit (the newline label as an extra x gate)
+    fields = {"num_qubits": 2, "gates": (h(0),), "labels": (), "measured": (), field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Circuit(**fields)
+
+
 def test_measured_qubits_in_order():
     circ = Circuit(num_qubits=3, gates=(h(1),), measured=(2, 0, 1))
     assert circ.measured == (2, 0, 1)
@@ -81,7 +107,7 @@ def test_metrics_counts():
     assert m.gate_count == 3
     assert m.complexity == 5
     assert m.parameterized_gate_count == 1
-    assert m.as_dict()["complexity"] == 5
+    assert asdict(m)["complexity"] == 5
 
 
 def test_complexity_sums_controls_plus_targets():
@@ -199,14 +225,6 @@ def test_lower_negative_controls_flushes_before_other_targets():
         ("x", 0), ("x", 1), ("x", 0)]
 
 
-def test_extend_returns_new_circuit():
-    base = Circuit(num_qubits=2, gates=(h(0),))
-    longer = base.extend([x(1)])
-    assert len(base) == 1
-    assert len(longer) == 2
-    assert longer.gates[0] == base.gates[0]
-
-
 def reference_metrics(circuit: Circuit) -> Metrics:
     """The separate complexity, depth and parameterized-count loops."""
     level = [0] * circuit.num_qubits
@@ -318,9 +336,8 @@ def test_circuit_checks_match_reference(case):
 
 @pytest.mark.parametrize("join", [
     lambda g: Circuit(2, (g,)),
-    lambda g: Circuit(2, (h(0),)).extend([g]),
     lambda g: replace(Circuit(2), gates=(h(1), g)),
-], ids=["init", "extend", "replace"])
+], ids=["init", "replace"])
 def test_bad_gate_rejected_where_it_joins(join):
     with pytest.raises(ValueError, match=r"Gate\(kind='x'.* uses a qubit twice"):
         join(Gate("x", 0, ((0, True),)))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,9 @@ import qsynth
 from qsynth import cli
 from qsynth.circuit import lower_negative_controls, x
 from qsynth.cli import main
-from qsynth.esop import EsopSpec, synth_esop, to_esop
+from qsynth.esop import synth_esop, to_esop
 from qsynth.funcprep import assign_dont_cares, expand, to_truth_table
-from qsynth.pla import parse_pla
+from qsynth.pla import PlaTable, parse_pla
 from qsynth.optimize import lower_to_uniform
 from qsynth.qasm import emit_qasm, parse_qasm
 
@@ -332,7 +333,7 @@ class TestSynth:
         flat = to_truth_table(assign_dont_cares(expand(parse_pla(source.read_text()))))
         cubes = tuple((format(a, f"0{flat.n}b"), format(word, f"0{flat.m}b"))
                       for a, word in sorted(flat.entries.items()))
-        esop = synth_esop(EsopSpec(flat.n, flat.m, cubes))
+        esop = synth_esop(PlaTable(flat.n, flat.m, cubes))
         text = out.read_text()
         assert parse_qasm(text).gates == lower_negative_controls(esop).gates
         labels = [f"a{i}" for i in range(flat.n)] + [f"d{i}" for i in range(flat.m)]
@@ -443,7 +444,8 @@ class TestVerify:
         out = tmp_path / "Z9sym.qasm"
         assert run_synth(source, out, "--method", "esop") == 0
         circ = parse_qasm(out.read_text())
-        out.write_text(emit_qasm(circ.extend([x(9, tuple((q, False) for q in range(9)))])))
+        extra = x(9, tuple((q, False) for q in range(9)))
+        out.write_text(emit_qasm(replace(circ, gates=(*circ.gates, extra))))
         capsys.readouterr()
         assert main(["verify", str(out), str(source), "--method", "esop"]) == 3
         report = json.loads(capsys.readouterr().out)
@@ -473,13 +475,13 @@ class TestVerify:
         out = tmp_path / "clip.qasm"
         assert run_synth(source, out, "--method", "esop") == 0
         spec = to_esop(parse_pla(source.read_text()))
-        ins, outs = spec.cubes[-1]
+        ins, outs = spec.rows[-1]
         k = outs.rindex("1")
         lines = out.read_text().splitlines(keepends=True)
         qubits = ",".join(f"q[{q}]" for q in (*range(9), 9 + k))
         assert (ins, lines[-1]) == ("111111111", f"mcx_9 {qubits};\n")
         out.write_text("".join(lines[:-1]))
-        dropped = EsopSpec(n=spec.n, m=spec.m, cubes=spec.cubes[:-1] + (
+        dropped = PlaTable(spec.n, spec.m, spec.rows[:-1] + (
             (ins, outs[:k] + "0" + outs[k + 1:]),))
         minterms = {int(row, 2) for row, _ in expand(parse_pla(source.read_text())).rows}
         predicted = sum(reference_evaluate(spec, a) != reference_evaluate(dropped, a)

@@ -180,13 +180,13 @@ class TestAmplitude:
         total = math.fsum(raw)
         probs = tuple(v / total for v in raw)
         state = run_statevector(synth_amplitude(Pmf(probs=probs)))
-        np.testing.assert_allclose(state.probabilities(), probs, atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), probs, atol=1e-12)
 
     def test_prune_drops_zero_rotations(self):
         circ = synth_amplitude(Pmf(probs=(0.5, 0.5, 0.0, 0.0)), prune=True)
         assert len(circ.gates) == 1
         state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), (0.5, 0.5, 0, 0),
+        np.testing.assert_allclose(state.distribution(), (0.5, 0.5, 0, 0),
                                    atol=1e-12)
 
     def test_pruned_matches_full(self, rng):
@@ -241,7 +241,7 @@ class TestPipelines:
     def test_qrng_pipeline_probability_mode(self):
         circ = qrng_pipeline([1.0, 3.0])
         state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), (0.25, 0.75), atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), (0.25, 0.75), atol=1e-12)
 
 
 class TestReadPmf:

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.errors import WidthMismatch
-from qsynth.esop import EsopSpec, evaluate_esop_table, synth_esop, to_esop
+from qsynth.esop import evaluate_esop_table, synth_esop, to_esop
 from qsynth.pla import PlaTable
 from qsynth.simulate import run_reversible_table
+
+
+# the message `qsynth synth` prints for a cube list with an output '-'
+OUTPUT_DASH = "^assign output don't-cares before building an exclusive cover$"
 
 
 def table(n, m, rows):
@@ -27,10 +31,10 @@ def brute_force(tbl):
     return out
 
 
-def reference_evaluate(spec: EsopSpec, x: int) -> int:
+def reference_evaluate(spec: PlaTable, x: int) -> int:
     """The per-row evaluation that evaluate_esop_table replaced, kept verbatim."""
     result = 0
-    for ins, outs in spec.cubes:
+    for ins, outs in spec.rows:
         match = True
         for j, c in enumerate(ins):
             if c == "-":
@@ -46,8 +50,8 @@ def reference_evaluate(spec: EsopSpec, x: int) -> int:
 
 @st.composite
 def specs_and_words(draw):
-    """A random spec (dashes, duplicate cubes, maybe no cubes) and word list."""
-    n = draw(st.integers(0, 9))  # 2^9 rows: columns cross 64-bit words
+    """A random cube list (dashes, duplicate cubes, maybe no cubes) and word list."""
+    n = draw(st.integers(1, 9))  # 2^9 rows: columns cross 64-bit words
     m = draw(st.integers(1, 4))
     cube = st.tuples(st.text("01-", min_size=n, max_size=n),
                      st.text("01", min_size=m, max_size=m))
@@ -58,7 +62,7 @@ def specs_and_words(draw):
         st.just(list(range(1 << n))),
         st.lists(word, max_size=200),  # unsorted and repeated
         st.lists(word, min_size=1, max_size=20).map(lambda w: w * 8)))
-    return EsopSpec(n=n, m=m, cubes=tuple(draw(st.permutations(cubes)))), words
+    return table(n, m, draw(st.permutations(cubes))), words
 
 
 def random_table(rng, n, m, cubes):
@@ -74,12 +78,12 @@ class TestToEsop:
     def test_rows_become_cubes_verbatim(self):
         tbl = table(2, 1, [("01", "1"), ("1-", "1")])
         spec = to_esop(tbl)
-        assert spec.cubes == (("01", "1"), ("1-", "1"))
+        assert spec.rows == (("01", "1"), ("1-", "1"))
         assert (spec.n, spec.m) == (2, 1)
 
     def test_output_dash_rejected(self):
         tbl = table(2, 2, [("01", "1-")])
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(WidthMismatch, match=OUTPUT_DASH):
             to_esop(tbl)
 
     def test_strict_or_warns_on_overlap(self):
@@ -104,12 +108,12 @@ class TestToEsop:
     def test_minimize_cancels_duplicate_cubes(self):
         tbl = table(3, 1, [("01-", "1"), ("01-", "1"), ("111", "1")])
         spec = to_esop(tbl, minimize=True)
-        assert spec.cubes == (("111", "1"),)
+        assert spec.rows == (("111", "1"),)
 
     def test_minimize_merges_distance_one(self):
         tbl = table(3, 1, [("010", "1"), ("011", "1")])
         spec = to_esop(tbl, minimize=True)
-        assert spec.cubes == (("01-", "1"),)
+        assert spec.rows == (("01-", "1"),)
 
     def test_minimize_preserves_function(self, rng):
         for _ in range(25):
@@ -120,7 +124,7 @@ class TestToEsop:
             small = to_esop(tbl, minimize=True)
             domain = range(1 << n)
             assert evaluate_esop_table(small, domain) == evaluate_esop_table(plain, domain)
-            assert len(small.cubes) <= len(plain.cubes)
+            assert len(small.rows) <= len(plain.rows)
 
     def test_minimize_dash_merge(self):
         # 0-0 and 010 differ only in column 1, where - absorbs one value:
@@ -129,38 +133,36 @@ class TestToEsop:
         spec = to_esop(tbl, minimize=True)
         plain = to_esop(tbl)
         assert evaluate_esop_table(spec, range(8)) == evaluate_esop_table(plain, range(8))
-        assert spec.cubes == (("000", "1"),)
+        assert spec.rows == (("000", "1"),)
 
 
-class TestEsopSpec:
-    def test_wrong_input_width_rejected(self):
-        with pytest.raises(WidthMismatch):
-            EsopSpec(n=3, m=1, cubes=(("01", "1"),))
-
-    def test_wrong_output_width_rejected(self):
-        with pytest.raises(WidthMismatch):
-            EsopSpec(n=2, m=2, cubes=(("01", "1"),))
-
-    def test_output_dash_rejected(self):
-        with pytest.raises(WidthMismatch):
-            EsopSpec(n=2, m=1, cubes=(("01", "-"),))
+@pytest.mark.parametrize("read", [
+    synth_esop,
+    lambda tbl: evaluate_esop_table(tbl, range(4)),
+], ids=["synth_esop", "evaluate_esop_table"])
+def test_output_dash_rejected(read):
+    # parse_pla keeps an output '-', which an XOR reading must not take as 0;
+    # the to_esop case is TestToEsop::test_output_dash_rejected
+    tbl = table(2, 2, [("01", "1-"), ("1-", "01")])
+    with pytest.raises(WidthMismatch, match=OUTPUT_DASH):
+        read(tbl)
 
 
 class TestEvaluate:
     def test_xor_of_matching_cubes(self):
-        spec = EsopSpec(n=2, m=2, cubes=(("0-", "11"), ("-1", "01")))
+        spec = table(2, 2, [("0-", "11"), ("-1", "01")])
         assert evaluate_esop_table(spec, [0b00]) == [0b11]
         assert evaluate_esop_table(spec, [0b01]) == [0b10]
         assert evaluate_esop_table(spec, [0b10]) == [0b00]
         assert evaluate_esop_table(spec, [0b11]) == [0b01]
 
     def test_duplicate_cube_cancels(self):
-        spec = EsopSpec(n=2, m=1, cubes=(("01", "1"), ("01", "1")))
+        spec = table(2, 1, [("01", "1"), ("01", "1")])
         for x in range(4):
             assert evaluate_esop_table(spec, [x]) == [0]
 
     def test_column_order_is_msb_first(self):
-        spec = EsopSpec(n=3, m=1, cubes=(("1--", "1"),))
+        spec = table(3, 1, [("1--", "1")])
         assert evaluate_esop_table(spec, [0b100]) == [1]
         assert evaluate_esop_table(spec, [0b011]) == [0]
 
@@ -187,7 +189,7 @@ class TestEvaluateTable:
     @pytest.mark.parametrize("word", [-1, 0b1000])
     def test_word_wider_than_inputs_rejected(self, word):
         # the per-row loop read only the low n bits of such a word
-        spec = EsopSpec(n=3, m=1, cubes=(("1--", "1"),))
+        spec = table(3, 1, [("1--", "1")])
         with pytest.raises(ValueError, match="does not fit in 3 bits"):
             evaluate_esop_table(spec, [0, word])
         with pytest.raises(ValueError, match="does not fit in 3 bits"):
@@ -196,13 +198,13 @@ class TestEvaluateTable:
 
 class TestSynth:
     def test_qubit_count_and_labels(self):
-        spec = EsopSpec(n=3, m=2, cubes=(("01-", "10"),))
+        spec = table(3, 2, [("01-", "10")])
         circ = synth_esop(spec)
         assert circ.num_qubits == 5
         assert circ.labels == ("x0", "x1", "x2", "f0", "f1")
 
     def test_gate_per_hot_output_bit(self):
-        spec = EsopSpec(n=2, m=2, cubes=(("01", "11"), ("1-", "01")))
+        spec = table(2, 2, [("01", "11"), ("1-", "01")])
         circ = synth_esop(spec)
         assert len(circ.gates) == 3
         g0, g1, g2 = circ.gates
@@ -211,13 +213,13 @@ class TestSynth:
         assert g2.target == 3 and g2.controls == ((0, True),)
 
     def test_dash_columns_have_no_controls(self):
-        spec = EsopSpec(n=3, m=1, cubes=(("---", "1"),))
+        spec = table(3, 1, [("---", "1")])
         circ = synth_esop(spec)
         assert len(circ.gates) == 1
         assert circ.gates[0].controls == ()
 
     def test_inputs_pass_through(self):
-        spec = EsopSpec(n=3, m=2, cubes=(("01-", "10"), ("--1", "11")))
+        spec = table(3, 2, [("01-", "10"), ("--1", "11")])
         circ = synth_esop(spec)
         words = run_reversible_table(circ, [x << 2 for x in range(8)])
         for x, word in enumerate(words):
@@ -235,13 +237,13 @@ class TestSynth:
             assert [word & ((1 << m) - 1) for word in words] == want
 
     def test_nonzero_output_register_accumulates(self):
-        spec = EsopSpec(n=2, m=2, cubes=(("1-", "11"),))
+        spec = table(2, 2, [("1-", "11")])
         circ = synth_esop(spec)
         # |x=2>|y=01> -> |x>|y ^ 11> = |10>|10>
         assert run_reversible_table(circ, [(0b10 << 2) | 0b01]) == [(0b10 << 2) | 0b10]
 
     def test_empty_cube_list(self):
-        spec = EsopSpec(n=2, m=1, cubes=())
+        spec = table(2, 1, [])
         circ = synth_esop(spec)
         assert circ.num_qubits == 3
         assert circ.gates == ()

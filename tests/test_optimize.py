@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsynth.circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, metrics, ry, rz, x
-from qsynth.encoding import angle_tree, synth_amplitude
+from qsynth.encoding import synth_amplitude
 from qsynth.errors import NoSymmetry, PatternIncomplete
 from qsynth.funcprep import Pmf
 from qsynth.qasm import emit_qasm, parse_qasm
@@ -236,7 +236,7 @@ class TestGraycode:
         flat = graycode_optimize(circ)
         assert all(len(g.controls) <= 1 for g in flat.gates)
         state = run_statevector(flat)
-        np.testing.assert_allclose(state.probabilities(),
+        np.testing.assert_allclose(state.distribution(),
                                    [v / total for v in raw], atol=1e-9)
 
 
@@ -345,14 +345,14 @@ class TestSymmetric:
         probs = (0.1, 0.15, 0.2, 0.05) * 2
         circ = symmetric_optimize(Pmf(probs=probs), "duplicate")
         state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), probs, atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), probs, atol=1e-12)
 
     def test_mirror_halves(self):
         half = (0.05, 0.1, 0.15, 0.2)
         probs = half + tuple(reversed(half))
         circ = symmetric_optimize(Pmf(probs=probs), "mirror")
         state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), probs, atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), probs, atol=1e-12)
 
     def test_missing_symmetry(self):
         with pytest.raises(NoSymmetry):
@@ -362,13 +362,6 @@ class TestSymmetric:
         with pytest.raises(ValueError, match="unknown symmetry"):
             symmetric_optimize(Pmf(probs=(0.5, 0.5)), "fold")
 
-    def test_accepts_angle_tree(self):
-        probs = (0.25,) * 4
-        tree = angle_tree(Pmf(probs=probs))
-        circ = symmetric_optimize(tree, "duplicate")
-        state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), probs, atol=1e-12)
-
     def test_saves_parameterized_gates(self):
         half = (0.02, 0.04, 0.06, 0.08, 0.1, 0.07, 0.03, 0.1)
         probs = half + half
@@ -376,12 +369,12 @@ class TestSymmetric:
         slim = metrics(symmetric_optimize(Pmf(probs=probs), "duplicate"))
         assert slim.parameterized_gate_count < full.parameterized_gate_count
         state = run_statevector(symmetric_optimize(Pmf(probs=probs), "duplicate"))
-        np.testing.assert_allclose(state.probabilities(), probs, atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), probs, atol=1e-12)
 
     def test_two_bins(self):
         circ = symmetric_optimize(Pmf(probs=(0.5, 0.5)), "duplicate")
         state = run_statevector(circ)
-        np.testing.assert_allclose(state.probabilities(), (0.5, 0.5), atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), (0.5, 0.5), atol=1e-12)
 
 
 RUN_KINDS = ("x", "rx", "ry", "rz", "z", "h")

@@ -137,3 +137,12 @@ def test_corpus_round_trip(name):
         warnings.simplefilter("error")
         table = parse_pla(text)
     assert write_pla(table) == text
+
+
+@pytest.mark.parametrize("n, m, row", [
+    (3, 1, ("01", "1")),
+    (2, 2, ("01", "1")),
+], ids=["input", "output"])
+def test_table_rows_match_widths(n, m, row):
+    with pytest.raises(BadCube, match="does not match"):
+        PlaTable(n=n, m=m, rows=(row,))

@@ -113,17 +113,17 @@ class TestRunStatevector:
 
     def test_hadamard_uniform(self):
         state = run_statevector(circuit(3, h(0), h(1), h(2)))
-        np.testing.assert_allclose(state.probabilities(), [1 / 8] * 8, atol=1e-12)
+        np.testing.assert_allclose(state.distribution(), [1 / 8] * 8, atol=1e-12)
 
     def test_bell_pair(self):
         state = run_statevector(circuit(2, h(0), x(1, (0,))))
-        np.testing.assert_allclose(state.probabilities(), [0.5, 0, 0, 0.5],
+        np.testing.assert_allclose(state.distribution(), [0.5, 0, 0, 0.5],
                                    atol=1e-12)
 
     def test_negative_control_fires_on_zero(self):
         gate = Gate("h", 1, ((0, False),))
         state = run_statevector(circuit(2, gate), initial=0)
-        np.testing.assert_allclose(state.probabilities(), [0.5, 0.5, 0, 0],
+        np.testing.assert_allclose(state.distribution(), [0.5, 0.5, 0, 0],
                                    atol=1e-12)
 
     def test_matches_unitary_columns(self, rng):
@@ -226,7 +226,7 @@ class TestDistribution:
     def test_default_is_full(self):
         state = run_statevector(circuit(2, h(1)))
         np.testing.assert_allclose(state.distribution(),
-                                   state.probabilities(), atol=1e-12)
+                                   state.distribution(), atol=1e-12)
 
 
 class TestCountHistogram:

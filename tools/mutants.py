@@ -54,6 +54,8 @@ ROUND_TRIP_PROPERTY = "tests/test_qasm.py::test_emit_parse_gives_back_the_circui
 BODY_MEANING = "tests/test_qasm.py::TestDefinitionSemantics::test_each_body_means_its_gate"
 EACH_KIND_LOWERED = (
     "tests/test_optimize.py::TestLowerToUniform::test_each_kind_lowers_to_its_own_unitary")
+GATE_VALIDATION = "tests/test_circuit.py::test_gate_validation"
+FIELD_RULES = "tests/test_circuit.py::test_fields_its_qasm_cannot_carry_are_rejected"
 
 MUTANTS = (
     # the bit-sliced ESOP reference of `qsynth verify`
@@ -62,6 +64,13 @@ MUTANTS = (
          'match &= columns[j] if c == "1" else columns[j]'),), (ESOP_PROPERTY,)),
     Mutant("esop-or-into-output", "esop.py", (
         ("outputs[k] ^= match", "outputs[k] |= match"),), (ESOP_PROPERTY,)),
+    # an XOR cube list has no output don't-care: none may be read as 0
+    Mutant("esop-output-dash-read-as-0", "esop.py", (
+        ('    if any("-" in outs for _, outs in table.rows):\n'
+         '        raise WidthMismatch("assign output don\'t-cares before building an exclusive '
+         'cover")\n', ""),),
+        ("tests/test_esop.py::TestToEsop::test_output_dash_rejected",
+         "tests/test_esop.py::test_output_dash_rejected")),
     # metrics' one walk
     Mutant("metrics-no-multi-qubit-level", "circuit.py", (
         ("            for q in qs:\n                level[q] = d\n", ""),), (METRICS_PROPERTY,)),
@@ -95,7 +104,11 @@ MUTANTS = (
          "            ry(_T, t), x(t, (b,)), ry(_T, t)]"),
         ("*steps[::-1]]", "*(step(*s.controls[::-1], s.target) for s in steps[::-1])]")),
         (LOWERING_PROPERTY,)),
-    # QASM read and write, once per gate shape
+    # QASM read and write, once per gate shape; cz reads back as a controlled z
+    Mutant("parse-cz-own-kind", "qasm.py", (
+        ('_NAME_TABLE.update(ccx=("x", 2))', '_NAME_TABLE.update(ccx=("x", 2), cz=("cz", 1))'),),
+        (ROUND_TRIP_PROPERTY, READ_WRITE_PROPERTY,
+         "tests/test_qasm.py::TestParse::test_round_trip_gates")),
     Mutant("parse-shape-hit-reuses-angle", "qasm.py", (
         ("gate = Gate(*shape, _angle(param, stmt))", "gate = Gate(*shape)"),
         ("shape_of[head, tail] = gate.kind, gate.target, gate.controls",
@@ -127,6 +140,25 @@ MUTANTS = (
     Mutant("qubits-without-target", "circuit.py", (
         ("return (*[q for q, _ in self.controls], self.target)",
          "return tuple([q for q, _ in self.controls])"),), (METRICS_PROPERTY,)),
+    Mutant("circuit-accepts-unknown-kind", "circuit.py", (
+        ("            if g.kind not in GATE_KINDS:\n"
+         '                raise ValueError(f"unknown gate kind {g.kind!r}")\n', ""),),
+        (CHECK_PROPERTY, GATE_VALIDATION)),
+    Mutant("circuit-accepts-fixed-kind-angle", "circuit.py", (
+        ("            elif g.angle is not None:\n"
+         '                raise ValueError(f"{g}: only rotations take an angle")\n', ""),),
+        (CHECK_PROPERTY, GATE_VALIDATION)),
+    Mutant("circuit-accepts-target-as-control", "circuit.py", (
+        ("if len(cs) != len(g.controls) or g.target in cs:", "if len(cs) != len(g.controls):"),),
+        (CHECK_PROPERTY, GATE_VALIDATION)),
+    Mutant("circuit-drops-control-lower-bound", "circuit.py", (
+        ("and type(q) is int and 0 <= q < n}", "and type(q) is int and q < n}"),),
+        (GATE_VALIDATION,)),
+    Mutant("circuit-drops-control-upper-bound", "circuit.py", (
+        ("and type(q) is int and 0 <= q < n}", "and type(q) is int and 0 <= q}"),),
+        (CHECK_PROPERTY, GATE_VALIDATION)),
+    Mutant("circuit-accepts-same-control-twice", "circuit.py", (
+        ("len(cs) != len(g.controls)", "len(cs) < len(set(g.controls))"),), (GATE_VALIDATION,)),
     Mutant("target-range-check-reads-qubit-0", "circuit.py", (
         ("if not 0 <= g.target < n:", "if not 0 <= 0 < n:"),), (CHECK_PROPERTY,)),
     Mutant("circuit-accepts-non-int-target", "circuit.py", (
@@ -155,6 +187,15 @@ MUTANTS = (
          ""),),
         ("tests/test_circuit.py::test_measured_qubits_in_order",
          "tests/test_simulate.py::TestRepeatedMeasurement::test_sample_circuit_measuring_twice")),
+    # a circuit's own fields are what its QASM carries
+    Mutant("circuit-accepts-bool-qubit-count", "circuit.py", (
+        ("if type(n) is not int:", "if not isinstance(n, int):"),), (FIELD_RULES,)),
+    Mutant("circuit-accepts-list-fields", "circuit.py", (
+        ("isinstance(f, tuple) for f in", "True for f in"),), (FIELD_RULES,)),
+    Mutant("circuit-accepts-non-int-measured", "circuit.py", (
+        ("all(type(q) is int for q in self.measured)", "True"),), (FIELD_RULES,)),
+    Mutant("circuit-accepts-spaced-label", "circuit.py", (
+        ("type(s) is str and s.split() == [s]", "type(s) is str"),), (FIELD_RULES,)),
     # the package resolves each public name from the module that defines it
     Mutant("init-name-under-wrong-module", "__init__.py", (
         ('"lower_negative_controls",\n        "metrics",\n', '"lower_negative_controls",\n'),

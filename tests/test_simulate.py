@@ -224,9 +224,12 @@ class TestDistribution:
                                    atol=1e-12)
 
     def test_default_is_full(self):
+        # the default is every qubit in ascending order: qubit 1 is the low bit
         state = run_statevector(circuit(2, h(1)))
+        np.testing.assert_allclose(state.distribution(), [0.5, 0.5, 0, 0],
+                                   atol=1e-12)
         np.testing.assert_allclose(state.distribution(),
-                                   state.distribution(), atol=1e-12)
+                                   state.distribution(qubits=(0, 1)), atol=1e-12)
 
 
 class TestCountHistogram:

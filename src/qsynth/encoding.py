@@ -128,11 +128,14 @@ class AngleTree:
 
 
 def angle_tree(pmf: Pmf) -> AngleTree:
-    """Build the rotation tree for a PMF (leaves must sum to 1)."""
+    """Build the rotation tree for a PMF (leaves >= 0, summing to 1)."""
     probs = tuple(pmf)
     total = math.fsum(probs)
     if not abs(total - 1.0) <= PMF_TOLERANCE:  # also catches a NaN total
         raise NotNormalized(f"bins sum to {total!r}")
+    negative = [i for i, p in enumerate(probs) if p < 0.0]
+    if negative:
+        raise NotNormalized(f"bin {negative[0]} is negative: {probs[negative[0]]!r}")
     nq = pmf.num_qubits
     masses = [list(probs)]
     while len(masses[-1]) > 1:
@@ -154,12 +157,11 @@ def angle_tree(pmf: Pmf) -> AngleTree:
     return AngleTree(num_qubits=nq, levels=tuple(levels), leaf_probs=probs)
 
 
-def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
+def synth_amplitude(pmf: Pmf) -> Circuit:
     """Prepare a distribution with one RY per rotation-tree node.
 
     Level l contributes 2^l RY gates, each controlled on the l-qubit path
-    prefix; the parameter is twice the node angle.  ``prune`` drops the
-    zero-angle gates under zero-mass subtrees instead of emitting them.
+    prefix; the parameter is twice the node angle, zero angles included.
     """
     tree = angle_tree(pmf)
     nq = tree.num_qubits
@@ -168,8 +170,7 @@ def synth_amplitude(pmf: Pmf, prune: bool = False) -> Circuit:
         # node i's controls spell i in binary, qubit 0 most significant
         patterns = itertools.product(*(((q, False), (q, True)) for q in range(level)))
         gates.extend(Gate("ry", level, controls, 2.0 * theta)
-                     for theta, controls in zip(thetas, patterns)
-                     if not (prune and theta == 0.0))
+                     for theta, controls in zip(thetas, patterns))
     return Circuit(num_qubits=nq, gates=tuple(gates))
 
 

@@ -74,7 +74,7 @@ class ValueOutOfRange(QsynthError):
 
 
 class NotNormalized(QsynthError):
-    """A distribution does not sum to one within tolerance."""
+    """A distribution has a negative bin or does not sum to one."""
 
 
 class NoSymmetry(QsynthError):
@@ -117,7 +117,3 @@ class AllSolutions(QsynthError):
 
 class VerificationFailed(QsynthError):
     """A circuit did not reproduce its source function."""
-
-
-class PatternIncomplete(QsynthError):
-    """A rotation run does not cover every control assignment (strict mode)."""

@@ -4,8 +4,8 @@ A cube list is a ``PlaTable`` read with XOR semantics: an output bit is
 the parity of the matching cubes that set it, so no output may be a
 don't-care (each function here refuses one).  Cube lists produced by
 exclusive-cover minimizers already mean exactly that, and for a disjoint
-cover the XOR and OR readings agree on every minterm.  Callers whose
-cubes mean OR and may overlap can ask for a check with ``strict_or``.
+cover the XOR and OR readings agree on every minterm.  Cubes that mean OR
+and may overlap go through ``_cover_to_xor`` first, as Grover's oracle does.
 
 The circuit mapping is direct: each (cube, hot output bit) pair becomes
 one X gate targeting that output qubit, with a positive control per
@@ -18,8 +18,6 @@ over every input word; ``qsynth verify`` takes its esop reference from it.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from .circuit import Circuit, Gate
 from .errors import WidthMismatch
@@ -46,14 +44,6 @@ def _intersect(a: str, b: str) -> str | None:
     return "".join(out)
 
 
-def _overlapping_pairs(cubes) -> list[tuple[int, int]]:
-    """Index pairs whose input fields intersect and whose outputs share a 1."""
-    return [(i, j) for i, (ins_a, outs_a) in enumerate(cubes)
-            for j, (ins_b, outs_b) in enumerate(cubes[i + 1:], i + 1)
-            if _intersect(ins_a, ins_b) is not None
-            and any(a == b == "1" for a, b in zip(outs_a, outs_b))]
-
-
 def _cover_to_xor(table: PlaTable) -> PlaTable:
     """Rewrite OR semantics as XOR semantics, output column by column.
 
@@ -77,70 +67,11 @@ def _cover_to_xor(table: PlaTable) -> PlaTable:
                                       for ins, mask in merged.items() if mask))
 
 
-def _cancel_duplicates(cubes: list[tuple[str, str]], m: int) -> list[tuple[str, str]]:
-    acc: dict[str, int] = {}
-    for ins, outs in cubes:
-        acc[ins] = acc.get(ins, 0) ^ int(outs, 2)
-    return [(ins, format(mask, f"0{m}b")) for ins, mask in acc.items() if mask]
-
-
-_MERGE = {("0", "1"): "-", ("1", "0"): "-", ("-", "0"): "1", ("0", "-"): "1",
-          ("-", "1"): "0", ("1", "-"): "0"}
-
-
-def _merge_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bool]:
-    """One greedy sweep of distance-1 merges within equal-output groups."""
-    consumed = [False] * len(cubes)
-    result: list[tuple[str, str]] = []
-    changed = False
-    for i, (ins_a, outs_a) in enumerate(cubes):
-        if consumed[i]:
-            continue
-        merged_into = None
-        for j in range(i + 1, len(cubes)):
-            if consumed[j]:
-                continue
-            ins_b, outs_b = cubes[j]
-            if outs_a != outs_b:
-                continue
-            diff = [k for k in range(len(ins_a)) if ins_a[k] != ins_b[k]]
-            if len(diff) != 1:
-                continue
-            k = diff[0]
-            sub = _MERGE.get((ins_a[k], ins_b[k]))
-            if sub is None:
-                continue
-            merged_into = (ins_a[:k] + sub + ins_a[k + 1:], outs_a)
-            consumed[j] = True
-            changed = True
-            break
-        result.append(merged_into if merged_into is not None else (ins_a, outs_a))
-    return result, changed
-
-
-def to_esop(table: PlaTable, minimize: bool = False, strict_or: bool = False) -> PlaTable:
-    """Read a cube list as an exclusive cover: ``table``, or its minimized cubes.
-
-    With ``minimize``, duplicate cubes are cancelled (x ^ x = 0) and
-    distance-1 cube pairs merged, repeating until nothing changes.
-    Neither pass is a full exclusive-cover minimizer; gate counts stay
-    above what a dedicated minimizer would reach.
-
-    ``strict_or`` warns when two cubes overlap on a shared output bit,
-    which is the one situation where reading the list as XOR differs from
-    reading it as a plain cover.
-    """
-    cubes = _xor_cubes(table)
-    if strict_or and (pairs := _overlapping_pairs(cubes)):
-        warnings.warn(f"{len(pairs)} cube pair(s) overlap on a shared output bit; "
-                      "the XOR reading differs from the OR reading there")
-    if not minimize:
-        return table
-    while True:
-        cubes = _cancel_duplicates(cubes, table.m)
-        cubes, changed = _merge_pass(cubes)
-        if not changed:
-            return PlaTable(table.n, table.m, tuple(cubes))
+def to_esop(table: PlaTable) -> PlaTable:
+    """Read a cube list as an exclusive cover: ``table``, refused if it has
+    an output don't-care."""
+    _xor_cubes(table)
+    return table
 
 
 def evaluate_esop_table(table: PlaTable, words) -> list[int]:

@@ -27,7 +27,7 @@ from .circuit import (
     x,
 )
 from .encoding import synth_amplitude
-from .errors import NoSymmetry, PatternIncomplete
+from .errors import NoSymmetry
 from .funcprep import Pmf
 from .qasm import _inline
 
@@ -172,7 +172,7 @@ def _walsh_angles(thetas: list[float]) -> list[float]:
     return [(w[_gray(i)] / den) / size for i in range(size)]
 
 
-def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gate]:
+def _rewrite_run(run: list[Gate], controls: list[int]) -> list[Gate]:
     """Replace one run over the sorted ``controls`` by its Gray-code form."""
     kind = run[0].kind
     target = run[0].target
@@ -181,18 +181,12 @@ def _rewrite_run(run: list[Gate], controls: list[int], strict: bool) -> list[Gat
     # pattern bit j corresponds to controls[j]
     bit = {q: 1 << j for j, q in enumerate(controls)}
     thetas = [0.0] * size
-    seen = set()
     for gate in run:
         pattern = 0
         for q, positive in gate.controls:
             if positive:
                 pattern |= bit[q]
-        seen.add(pattern)
         thetas[pattern] += gate.angle
-    if strict and len(seen) != size:
-        raise PatternIncomplete(
-            f"run covers {len(seen)} of {size} control patterns"
-        )
     alphas = _walsh_angles(thetas)
     entanglers = [_entangler(kind, q, target) for q in controls]
     out: list[Gate] = []
@@ -218,7 +212,7 @@ def _run_key(gate: Gate):
     return gate.kind, gate.target, sorted(q for q, _ in gate.controls)
 
 
-def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
+def graycode_optimize(circuit: Circuit) -> Circuit:
     """Flatten uniformly controlled rotation runs to single-control form.
 
     A run is a maximal stretch of consecutive rotations of one kind on
@@ -226,9 +220,8 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     is replaced by plain rotations interleaved with entanglers along a
     Gray sequence; the new angles solve the sign system tying per-pattern
     angles to path contributions.  Runs that do not cover every control
-    pattern are padded with zero angles (``strict=True`` raises
-    PatternIncomplete instead); zero-angle outputs are pruned.  Gates
-    that are not controlled rotations pass through untouched.
+    pattern are padded with zero angles; zero-angle outputs are dropped.
+    Gates that are not controlled rotations pass through untouched.
 
     A run over k controls costs O(k * 2^k) exact integer operations (a
     Walsh-Hadamard butterfly), and its angles are bit for bit the
@@ -241,7 +234,7 @@ def graycode_optimize(circuit: Circuit, strict: bool = False) -> Circuit:
     out: list[Gate] = []
     for key, run in itertools.groupby(circuit.gates, _run_key):
         if key and key[2]:
-            out.extend(_rewrite_run(list(run), key[2], strict))
+            out.extend(_rewrite_run(list(run), key[2]))
         else:
             out.extend(run)
     return replace(circuit, gates=tuple(out))

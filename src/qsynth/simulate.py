@@ -78,6 +78,8 @@ class Statevector:
         probs = probs.reshape((2,) * self.num_qubits)
         keep = list(qubits)
         for i, q in enumerate(keep):
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"qubit {q} lies outside 0..{self.num_qubits - 1}")
             if q in keep[:i]:
                 raise ValueError(f"qubit {q} is listed more than once")
         drop = tuple(q for q in range(self.num_qubits) if q not in keep)
@@ -332,8 +334,12 @@ def sample(obj, shots: int, seed: int | None = None) -> CountHistogram:
     bit j; other circuits and states over all qubits.  The same
     seed always reproduces the same histogram.
     """
-    if not isinstance(shots, numbers.Integral) or not 0 < shots < 1 << 63:  # numpy's int64
+    if (type(shots) is bool or not isinstance(shots, numbers.Integral)
+            or not 0 < shots < 1 << 63):  # numpy's int64
         raise ValueError(f"shots must be an integer in 1..2^63-1, got {shots!r}")
+    if seed is not None and (type(seed) is bool or not isinstance(seed, numbers.Integral)
+                             or seed < 0):
+        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
     probs, num_bits = _distribution_of(obj)
     probs = np.where(probs < _SAMPLE_FLOOR, 0.0, probs)
     total = probs.sum()

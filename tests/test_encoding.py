@@ -147,6 +147,16 @@ class TestAngleTree:
         with pytest.raises(NotNormalized):
             angle_tree(Pmf(probs=(0.5, math.nan)))
 
+    @pytest.mark.parametrize("probs, where", [
+        ((1.5, -0.5), "bin 1 is negative"),
+        ((0.5, 0.75, -0.25, 0.0), "bin 2 is negative"),
+    ], ids=["two-bins", "four-bins"])
+    def test_negative_bin_rejected(self, probs, where):
+        # the split ratios were clamped to [0, 1], so these sums of 1 prepared
+        # [1, 0] and [0.4, 0.6, 0, 0] without a word
+        with pytest.raises(NotNormalized, match=where):
+            synth_amplitude(Pmf(probs=probs))
+
     def test_zero_subtree_angle_is_zero(self):
         tree = angle_tree(Pmf(probs=(0.5, 0.5, 0.0, 0.0)))
         assert tree.levels[0] == (0.0,)
@@ -181,22 +191,6 @@ class TestAmplitude:
         probs = tuple(v / total for v in raw)
         state = run_statevector(synth_amplitude(Pmf(probs=probs)))
         np.testing.assert_allclose(state.distribution(), probs, atol=1e-12)
-
-    def test_prune_drops_zero_rotations(self):
-        circ = synth_amplitude(Pmf(probs=(0.5, 0.5, 0.0, 0.0)), prune=True)
-        assert len(circ.gates) == 1
-        state = run_statevector(circ)
-        np.testing.assert_allclose(state.distribution(), (0.5, 0.5, 0, 0),
-                                   atol=1e-12)
-
-    def test_pruned_matches_full(self, rng):
-        raw = [rng.random() if rng.random() < 0.6 else 0.0 for _ in range(16)]
-        raw[0] = raw[0] or 0.3
-        total = math.fsum(raw)
-        pmf = Pmf(probs=tuple(v / total for v in raw))
-        full = run_statevector(synth_amplitude(pmf))
-        lean = run_statevector(synth_amplitude(pmf, prune=True))
-        np.testing.assert_allclose(lean.amplitudes, full.amplitudes, atol=1e-12)
 
 
 class TestPipelines:

@@ -86,55 +86,6 @@ class TestToEsop:
         with pytest.raises(WidthMismatch, match=OUTPUT_DASH):
             to_esop(tbl)
 
-    def test_strict_or_warns_on_overlap(self):
-        tbl = table(2, 1, [("0-", "1"), ("-0", "1")])
-        with pytest.warns(UserWarning, match="overlap"):
-            to_esop(tbl, strict_or=True)
-
-    def test_strict_or_quiet_on_disjoint(self):
-        tbl = table(2, 1, [("0-", "1"), ("1-", "1")])
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            to_esop(tbl, strict_or=True)
-
-    def test_strict_or_quiet_when_outputs_differ(self):
-        tbl = table(2, 2, [("0-", "10"), ("-0", "01")])
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            to_esop(tbl, strict_or=True)
-
-    def test_minimize_cancels_duplicate_cubes(self):
-        tbl = table(3, 1, [("01-", "1"), ("01-", "1"), ("111", "1")])
-        spec = to_esop(tbl, minimize=True)
-        assert spec.rows == (("111", "1"),)
-
-    def test_minimize_merges_distance_one(self):
-        tbl = table(3, 1, [("010", "1"), ("011", "1")])
-        spec = to_esop(tbl, minimize=True)
-        assert spec.rows == (("01-", "1"),)
-
-    def test_minimize_preserves_function(self, rng):
-        for _ in range(25):
-            n = rng.randrange(2, 5)
-            m = rng.randrange(1, 3)
-            tbl = random_table(rng, n, m, rng.randrange(1, 8))
-            plain = to_esop(tbl)
-            small = to_esop(tbl, minimize=True)
-            domain = range(1 << n)
-            assert evaluate_esop_table(small, domain) == evaluate_esop_table(plain, domain)
-            assert len(small.rows) <= len(plain.rows)
-
-    def test_minimize_dash_merge(self):
-        # 0-0 and 010 differ only in column 1, where - absorbs one value:
-        # the pair covers {000, 010, 010} so the merge keeps parity, not cover.
-        tbl = table(3, 1, [("0-0", "1"), ("010", "1")])
-        spec = to_esop(tbl, minimize=True)
-        plain = to_esop(tbl)
-        assert evaluate_esop_table(spec, range(8)) == evaluate_esop_table(plain, range(8))
-        assert spec.rows == (("000", "1"),)
-
 
 @pytest.mark.parametrize("read", [
     synth_esop,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsynth.circuit import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, cz, h, metrics, ry, rz, x
 from qsynth.encoding import synth_amplitude
-from qsynth.errors import NoSymmetry, PatternIncomplete
+from qsynth.errors import NoSymmetry, NotNormalized
 from qsynth.funcprep import Pmf
 from qsynth.qasm import emit_qasm, parse_qasm
 from qsynth.optimize import (
@@ -206,11 +206,6 @@ class TestGraycode:
         assert all(len(g.controls) <= 1 for g in flat.gates)
         assert np.allclose(unitary(flat), unitary(circ), atol=1e-9)
 
-    def test_incomplete_run_strict(self):
-        circ = circuit(2, ry(0.8, 1, ((0, True),)))
-        with pytest.raises(PatternIncomplete):
-            graycode_optimize(circ, strict=True)
-
     def test_equal_angles_collapse(self):
         # equal angles over all patterns mean one plain rotation survives
         circ = circuit(3, *uc_run("ry", 2, (0, 1), [0.5, 0.5, 0.5, 0.5]))
@@ -337,7 +332,7 @@ class TestGraycodeReference:
         for k in range(7):
             angles = [rng.uniform(-4, 4) for _ in range(1 << k)]
             circ = circuit(k + 1, *uc_run("ry", k, tuple(range(k)), angles))
-            assert graycode_optimize(circ, strict=True).gates == reference_graycode(circ)
+            assert graycode_optimize(circ).gates == reference_graycode(circ)
 
 
 class TestSymmetric:
@@ -357,6 +352,11 @@ class TestSymmetric:
     def test_missing_symmetry(self):
         with pytest.raises(NoSymmetry):
             symmetric_optimize(Pmf(probs=(0.4, 0.3, 0.2, 0.1)), "duplicate")
+
+    def test_negative_bin_rejected(self):
+        # duplicate halves whose shared half, doubled, is (1.5, -0.5)
+        with pytest.raises(NotNormalized, match="bin 1 is negative"):
+            symmetric_optimize(Pmf(probs=(0.75, -0.25) * 2), "duplicate")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown symmetry"):

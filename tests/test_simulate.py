@@ -232,6 +232,13 @@ class TestDistribution:
                                    state.distribution(qubits=(0, 1)), atol=1e-12)
 
 
+    @pytest.mark.parametrize("qubits, where", [((5,), "qubit 5"), ((0, -1), "qubit -1")],
+                             ids=["past-end", "negative"])
+    def test_qubit_outside_register(self, qubits, where):
+        state = run_statevector(circuit(2, h(1)))
+        with pytest.raises(ValueError, match=f"{where} lies outside 0..1"):
+            state.distribution(qubits=qubits)
+
 class TestCountHistogram:
     def hist(self):
         return CountHistogram(counts={"10": 6, "01": 4}, shots=10, num_bits=2)
@@ -284,6 +291,16 @@ class TestSample:
             sample([0.5, 0.5], 1 << 63)
         most = (1 << 63) - 1
         assert sum(sample([0.5, 0.5], most, seed=0).counts.values()) == most
+
+    @pytest.mark.parametrize("shots, seed, what", [
+        (True, None, "shots"),   # drew one shot and wrote "shots": true
+        (10, True, "seed"),      # numpy read it as seed 1
+        (10, 1.5, "seed"),       # numpy's raw TypeError
+        (10, -1, "seed"),        # numpy's message does not name the seed
+    ], ids=["bool-shots", "bool-seed", "float-seed", "negative-seed"])
+    def test_bad_shots_or_seed_named(self, shots, seed, what):
+        with pytest.raises(ValueError, match=f"^{what} must be"):
+            sample([0.5, 0.5], shots, seed=seed)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="sums to"):

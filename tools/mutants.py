@@ -240,6 +240,21 @@ MUTANTS = (
     Mutant("truth-table-mutable-dict", "funcprep.py", (
         ('        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))\n',
          ""),), ("tests/test_funcprep.py::test_truth_table_entries_read_only",)),
+    # a negative bin, a bad seed or a qubit outside the register is named
+    Mutant("angle-tree-accepts-negative-bin", "encoding.py", (
+        ('    if negative:\n        raise NotNormalized(f"bin {negative[0]} is negative: '
+         '{probs[negative[0]]!r}")\n', ""),),
+        ("tests/test_encoding.py::TestAngleTree::test_negative_bin_rejected",
+         "tests/test_optimize.py::TestSymmetric::test_negative_bin_rejected")),
+    Mutant("sample-seed-unchecked", "simulate.py", (
+        ('        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")\n',
+         "        pass\n"),),
+        ("tests/test_simulate.py::TestSample::test_bad_shots_or_seed_named",)),
+    Mutant("distribution-qubit-range-unchecked", "simulate.py", (
+        ("            if not 0 <= q < self.num_qubits:\n"
+         '                raise ValueError(f"qubit {q} lies outside 0..{self.num_qubits - 1}")\n',
+         ""),),
+        ("tests/test_simulate.py::TestDistribution::test_qubit_outside_register",)),
 )
 
 
